@@ -1,0 +1,7 @@
+import os
+import sys
+
+PERFBENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+os.environ.setdefault("FPMOD_PURE", "1")
+sys.path.insert(0, PERFBENCH)
+sys.path.insert(0, os.path.join(os.path.dirname(PERFBENCH), "src"))
