@@ -28,6 +28,10 @@ class UnsupportedRing(InputError):
     pass
 
 
+class PrimalityUndecided(InputError):
+    """A PrimeField modulus too large for the deterministic primality test."""
+
+
 class DimensionMismatch(InputError):
     pass
 

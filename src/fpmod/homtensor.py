@@ -117,8 +117,11 @@ def base_change_mor(phi, f):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n in increasing order, built from its factorization."""
+    out = [1]
+    for p, e in _prime_factorization(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def _prime_factorization(n):

@@ -83,7 +83,7 @@ def decode_ring(doc, where="ring"):
     try:
         return RingDesc(kind, modulus)
     except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def decode_ring_map(doc, where="map"):

@@ -6,6 +6,10 @@ backend kernel (Cython or pure Python); the other Euclidean rings
 implementation below, which is the same algorithm parameterized by the
 ring operations.  IntegersMod(n) is handled by lifting to the integers
 and appending n*identity columns/relations.
+
+Linear systems are solved through the column Hermite form, whose
+transform stays small; the Smith form serves invariant factors,
+unimodularity and kernels.
 """
 
 from dataclasses import dataclass
@@ -242,24 +246,30 @@ def solve_linear(A, B):
             return None
         top = X.select_rows(range(A.cols))
         return top.map_entries(lambda e: e, new_ring=ring)
-    sf = snf(A)
-    C = sf.U.mul(B)
-    k = len(sf.invariant_factors)
+    # A*W = H with H in column echelon form: column c is zero above its
+    # pivot row, and a row that holds no pivot is zero from the next
+    # pivot column on.  Forward substitution solves H*Y = B; X = W*Y.
+    H, W = hnf(A)
+    R = B.to_rows()  # residual B - H*Y over the rows not yet reached
     yrows = [[ring.zero()] * B.cols for _ in range(A.cols)]
+    c = 0
     for i in range(A.rows):
-        if i < k:
-            d = sf.D.get(i, i)
-            for j in range(B.cols):
-                q = ring.exact_div(C.get(i, j), d)
-                if q is None:
-                    return None
-                yrows[i][j] = q
-        else:
-            for j in range(B.cols):
-                if not ring.is_zero(C.get(i, j)):
-                    return None
+        p = H.get(i, c) if c < A.cols else ring.zero()
+        if ring.is_zero(p):
+            if not all(ring.is_zero(e) for e in R[i]):
+                return None
+            continue
+        y = [ring.exact_div(e, p) for e in R[i]]
+        if any(q is None for q in y):
+            return None
+        yrows[c] = y
+        for k in range(i + 1, A.rows):
+            h = H.get(k, c)
+            if not ring.is_zero(h):
+                R[k] = [ring.sub(e, ring.mul(h, q)) for e, q in zip(R[k], y)]
+        c += 1
     Y = Mat.from_rows(ring, yrows) if A.cols else Mat.zeros(ring, 0, B.cols)
-    return sf.V.mul(Y)
+    return W.mul(Y)
 
 
 def kernel_matrix(A):

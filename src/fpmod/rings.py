@@ -14,7 +14,7 @@ fpmodule).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, InputError, UnsupportedRing
+from .errors import DivisionByZero, InputError, PrimalityUndecided, UnsupportedRing
 
 INTEGERS = "Integers"
 RATIONALS = "Rationals"
@@ -23,14 +23,39 @@ GAUSSIAN = "GaussianIntegers"
 INTEGERS_MOD = "IntegersMod"
 
 
+# Miller-Rabin on the primes up to 41 has no strong pseudoprime below
+# _MR_LIMIT (Sorenson-Webster 2015), so the test is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic primality test; PrimalityUndecided above _MR_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:  # no prime factor up to 41, so none at all
+        return True
+    if p >= _MR_LIMIT:
+        raise PrimalityUndecided(
+            f"cannot certify {p} as prime: the test is exact below {_MR_LIMIT}"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -188,3 +188,24 @@ def test_harness_env_seed(capsys, monkeypatch):
 def test_unknown_suite_exit2(capsys):
     code = run_command(["harness", "--trials", "1", "--suites", "nope"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "modulus, code, error",
+    [
+        (str(2**61 - 1), 0, None),
+        (str(10**25 + 7), 2, "PrimalityUndecided"),
+        ("1000000016000000063", 2, "InputError"),  # (10^9+7)(10^9+9)
+    ],
+)
+def test_large_prime_field_moduli(tmp_path, capsys, modulus, code, error):
+    doc = {
+        "ring": {"kind": "PrimeField", "modulus": modulus},
+        "modules": {"M": {"relations": [["2", "3"], ["4", "6"]]}},
+    }
+    got, out = run(capsys, ["invariants", "--input", write(tmp_path, doc)])
+    assert got == code
+    if error:
+        assert out["error"] == error
+    else:
+        assert out == {"free_rank": "1", "torsion": []}

@@ -1,6 +1,7 @@
 """Harness determinism, instance generation, shrinking, fault injection."""
 
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from fpmod.errors import FpmodError
 from fpmod.harness import (
     HarnessConfig,
     SUITES,
+    _run_one,
     derived_seed,
     parse_ring_name,
     report_json,
@@ -105,3 +107,12 @@ def test_report_contains_no_timing():
     report, _ = run_harness(HarnessConfig(seed=1, trials=0))
     text = report_json(report)
     assert "time" not in text and "elapsed" not in text
+
+
+def test_domination_heavy_instance_passes_quickly():
+    # seed 42 #2 solves an inconsistent 20x28 integer system in
+    # solve_factor; through the Smith form its transforms grew to
+    # ~750k bits and the instance took over 20 s
+    start = time.perf_counter()
+    assert _run_one("domination_cross_oracle", 2, HarnessConfig(seed=42, trials=3)) is None
+    assert time.perf_counter() - start < 10

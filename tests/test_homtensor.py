@@ -22,6 +22,9 @@ from fpmod.fpmodule import (
     zero_module,
 )
 from fpmod.homtensor import (
+    _divisors,
+    _projective_by_invariants,
+    _projective_by_split_search,
     base_change,
     base_change_mor,
     hom_module,
@@ -164,3 +167,33 @@ def test_everything_flat_over_fields():
 def test_zero_module_projective():
     assert is_projective(zero_module(ZZ))
     assert is_flat(zero_module(ZZ))
+
+
+@pytest.mark.parametrize(
+    "rows, projective",
+    [
+        ([[-4, 3, 6, 6, -5], [-2, -5, 1, 6, 1], [1, 4, 0, 6, -3], [-5, 1, -6, 0, 0]], False),
+        ([[-3, 3, 2, -4, -1], [3, 1, 4, 3, -5], [3, -6, 1, -2, 2], [-3, -3, 5, 1, 2]], True),
+    ],
+)
+def test_projective_four_generators_large_modulus(rows, projective):
+    # the split search solves a 20x20 Kronecker system, lifted to 20x40 over
+    # the integers; through the Smith form it did not finish within 15 s
+    ring = Zmod(10**6)
+    M = mk_module(ring, Mat.from_ints(ring, rows))
+    assert _projective_by_invariants(M) is projective
+    assert _projective_by_split_search(M) is projective
+    assert is_projective(M) is projective
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 501):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert _divisors(2**20) == [2**k for k in range(21)]
+
+
+def test_flat_over_large_modulus():
+    # 2*10^7 = 2^8 * 5^7 has 72 divisors; is_flat used to scan all 2*10^7
+    ring = Zmod(2 * 10**7)
+    assert is_flat(mk_module(ring, Mat.from_ints(ring, [[256, 0], [0, 1]])))
+    assert not is_flat(mk_module(ring, Mat.from_ints(ring, [[2, 0], [0, 5]])))

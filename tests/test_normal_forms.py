@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fpmod.errors import UnsupportedRing
 from fpmod.matrix import Mat
 from fpmod.normal_forms import hnf, is_unimodular, kernel_matrix, snf, solve_linear
-from fpmod.rings import ZZ, QQ, ZI, Fp, Zmod
+from fpmod.rings import INTEGERS_MOD, ZZ, QQ, ZI, Fp, Zmod
 
 
 def _det(rows):
@@ -160,3 +160,100 @@ def test_solve_matrix_rhs():
     B = Mat.from_ints(ZZ, [[4, 6], [9, 0]])
     X = solve_linear(A, B)
     assert X is not None and A.mul(X).entries == B.entries
+
+
+# ---------------------------------------------------------------------------
+# solving through the Hermite form, checked against a Smith-form oracle
+
+
+def _snf_solvable(A, B):
+    """Solvability of A*X = B read off the Smith form: U*B divisible by D.
+
+    Over Z/n the system is lifted to [A | n*I] * X = B over the integers.
+    """
+    if A.ring.kind == INTEGERS_MOD:
+        n = A.ring.modulus
+        A = A.map_entries(int, new_ring=ZZ).hstack(Mat.identity(ZZ, A.rows).scale(n))
+        B = B.map_entries(int, new_ring=ZZ)
+    ring = A.ring
+    sf = snf(A)
+    C = sf.U.mul(B)
+    k = len(sf.invariant_factors)
+    for i in range(A.rows):
+        d = sf.D.get(i, i) if i < k else ring.zero()
+        if any(ring.exact_div(C.get(i, j), d) is None for j in range(B.cols)):
+            return False
+    return True
+
+
+def _rand_entry(rng, ring):
+    if ring == ZI:
+        return (rng.randint(-4, 4), rng.randint(-4, 4))
+    return ring.from_int(rng.randint(-6, 6))
+
+
+SOLVE_RINGS = [ZZ, QQ, Fp(5), ZI, Zmod(12), Zmod(8)]
+
+
+@pytest.mark.parametrize("ring", SOLVE_RINGS, ids=str)
+def test_solve_linear_matches_snf_oracle(ring):
+    rng = random.Random(f"solve:{ring}")
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        r, c, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 2)
+        A = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)])
+        if not r:
+            A = Mat.zeros(ring, 0, c)
+        if rng.random() < 0.5:
+            # a consistent right-hand side A*X0
+            X0 = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(m)] for _ in range(c)])
+            B = A.mul(X0) if c else Mat.zeros(ring, r, m)
+        else:
+            B = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(m)] for _ in range(r)])
+            if not r:
+                B = Mat.zeros(ring, 0, m)
+        solvable = _snf_solvable(A, B)
+        seen[solvable] += 1
+        X = solve_linear(A, B)
+        if solvable:
+            assert X is not None and (X.rows, X.cols) == (c, m)
+            assert A.mul(X) == B
+        else:
+            assert X is None
+    if not ring.is_field:
+        assert seen[False] > 0
+    assert seen[True] > 0
+
+
+def _echelon_pivot_rows(H):
+    """Pivot rows of a column echelon form, or AssertionError if H is not one.
+
+    Column c < rank is zero above its pivot row and nonzero there, the
+    pivot rows increase with c, and columns from the rank on are zero.
+    """
+    ring = H.ring
+    pivots = []
+    for c in range(H.cols):
+        col = H.col(c)
+        nz = [i for i, e in enumerate(col) if not ring.is_zero(e)]
+        if not nz:
+            assert all(H.col_mat(j).is_zero() for j in range(c, H.cols))
+            break
+        assert not pivots or nz[0] > pivots[-1]
+        pivots.append(nz[0])
+    return pivots
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Fp(7), ZI], ids=str)
+def test_hnf_is_column_echelon(ring):
+    rng = random.Random(f"hnf:{ring}")
+    for _ in range(80):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        A = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)])
+        if rng.random() < 0.3:
+            A = A.hstack(A.select_columns([0]))  # force a dependent column
+        H, U = hnf(A)
+        assert A.mul(U) == H
+        assert is_unimodular(U)
+        pivots = _echelon_pivot_rows(H)
+        assert len(pivots) == snf(A).rank

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fpmod.errors import DivisionByZero, InputError
-from fpmod.rings import ZZ, QQ, ZI, Fp, Zmod, RingDesc, ring_map
+from fpmod.errors import DivisionByZero, InputError, PrimalityUndecided
+from fpmod.rings import _MR_LIMIT, ZZ, QQ, ZI, Fp, Zmod, RingDesc, _is_prime, ring_map
 
 
 def test_ring_constructors_validate():
@@ -88,3 +88,24 @@ def test_free_extension_basis():
     phi = ring_map(ZZ, ZI)
     assert phi.basis_size == 2
     assert phi.basis_components((3, -2)) == [3, -2]
+
+
+def _trial_division_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for p in range(-3, 10**4):
+        assert _is_prime(p) == _trial_division_prime(p), p
+
+
+def test_is_prime_large_moduli():
+    assert _is_prime(2**61 - 1)  # 19 digits
+    assert Fp(2**61 - 1).modulus == 2**61 - 1
+    assert not _is_prime((10**9 + 7) * (10**9 + 9))
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(3825123056546413051)  # ... to the primes up to 23
+    with pytest.raises(InputError):
+        Fp((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(PrimalityUndecided):
+        Fp(_MR_LIMIT)
