@@ -4,7 +4,6 @@ and domination, Mittag-Leffler towers, devissage, and flatness /
 projectivity deciders with descent checks.
 """
 
-from .backend import BACKEND
 from .rings import ZZ, QQ, ZI, Fp, Zmod, RingDesc, ring_map
 from .matrix import Mat
 from .normal_forms import snf, hnf, solve_linear, kernel_matrix, is_unimodular
@@ -28,6 +27,9 @@ from .fpmodule import (
 from .homtensor import hom_module, tensor, base_change, is_flat, is_projective
 
 __version__ = "1.0.0"
+
+# Name of the normal-form implementation; there is only the pure-Python one.
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",

@@ -32,6 +32,10 @@ class PrimalityUndecided(InputError):
     """A PrimeField modulus too large for the deterministic primality test."""
 
 
+class FactorizationTooHard(InputError):
+    """An IntegersMod modulus whose factorization trial division cannot finish."""
+
+
 class DimensionMismatch(InputError):
     pass
 

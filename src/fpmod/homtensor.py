@@ -10,7 +10,7 @@ relation matrix.
 
 from dataclasses import dataclass
 
-from .errors import DeciderDisagreement, RingMismatch
+from .errors import DeciderDisagreement, FactorizationTooHard, RingMismatch
 from .matrix import Mat
 from .normal_forms import kernel_matrix, solve_linear
 from .fpmodule import (
@@ -19,7 +19,7 @@ from .fpmodule import (
     mk_module,
     mk_morphism,
 )
-from .rings import INTEGERS_MOD
+from .rings import INTEGERS_MOD, _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,29 @@ def _divisors(n):
     return sorted(out)
 
 
+# Trial division stops here, so factoring costs at most this many steps.
+_TRIAL_DIVISION_BOUND = 10**5
+
+
 def _prime_factorization(n):
+    """{p: e} for n >= 1, by trial division up to _TRIAL_DIVISION_BOUND.
+
+    The cofactor left over has no prime factor up to the bound: below
+    the bound's square it is prime, above it rings._is_prime decides,
+    and a composite one raises FactorizationTooHard.
+    """
     out = {}
     d = 2
-    while d * d <= n:
+    while d <= _TRIAL_DIVISION_BOUND and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
     if n > 1:
+        if d * d <= n and not _is_prime(n):
+            raise FactorizationTooHard(
+                f"{n} has no prime factor up to {_TRIAL_DIVISION_BOUND} and is not prime"
+            )
         out[n] = out.get(n, 0) + 1
     return out
 

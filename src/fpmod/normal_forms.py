@@ -1,11 +1,11 @@
 """Hermite/Smith normal forms and exact linear solving.
 
-Over the integers the elimination loops are delegated to the selected
-backend kernel (Cython or pure Python); the other Euclidean rings
-(rationals, prime fields, Gaussian integers) go through the generic
-implementation below, which is the same algorithm parameterized by the
-ring operations.  IntegersMod(n) is handled by lifting to the integers
-and appending n*identity columns/relations.
+One Smith and one Hermite elimination serve every Euclidean ring
+(integers, rationals, prime fields, Gaussian integers).  They take the
+element operations from the ring's ElimOps table (rings.RingDesc.elim_ops),
+bound once per call: norm, Euclidean quotient, associate unit, and
+whole-row and whole-column updates.  IntegersMod(n) is handled by
+lifting to the integers and appending n*identity columns/relations.
 
 Linear systems are solved through the column Hermite form, whose
 transform stays small; the Smith form serves invariant factors,
@@ -14,10 +14,9 @@ unimodularity and kernels.
 
 from dataclasses import dataclass
 
-from . import backend
 from .errors import DimensionMismatch, UnsupportedRing
 from .matrix import Mat
-from .rings import INTEGERS, INTEGERS_MOD, ZZ
+from .rings import INTEGERS_MOD, ZZ
 
 
 @dataclass(frozen=True)
@@ -33,56 +32,32 @@ class SmithForm:
 
 
 # ---------------------------------------------------------------------------
-# generic Euclidean elimination
+# elimination over a Euclidean ring, on lists of rows
 
 
-def _g_eliminate_at(ring, D, U, V, t, rows, cols):
-    while True:
-        restart = False
-        for i in range(t + 1, rows):
-            if not ring.is_zero(D[i][t]):
-                q, _ = ring.euclid_div(D[i][t], D[t][t])
-                if not ring.is_zero(q):
-                    for j in range(cols):
-                        D[i][j] = ring.sub(D[i][j], ring.mul(q, D[t][j]))
-                    for j in range(rows):
-                        U[i][j] = ring.sub(U[i][j], ring.mul(q, U[t][j]))
-                if not ring.is_zero(D[i][t]):
-                    D[i], D[t] = D[t], D[i]
-                    U[i], U[t] = U[t], U[i]
-                    restart = True
-                    break
-        if restart:
-            continue
-        for j in range(t + 1, cols):
-            if not ring.is_zero(D[t][j]):
-                q, _ = ring.euclid_div(D[t][j], D[t][t])
-                if not ring.is_zero(q):
-                    for i in range(rows):
-                        D[i][j] = ring.sub(D[i][j], ring.mul(q, D[i][t]))
-                    for i in range(cols):
-                        V[i][j] = ring.sub(V[i][j], ring.mul(q, V[i][t]))
-                if not ring.is_zero(D[t][j]):
-                    for i in range(rows):
-                        D[i][j], D[i][t] = D[i][t], D[i][j]
-                    for i in range(cols):
-                        V[i][j], V[i][t] = V[i][t], V[i][j]
-                    restart = True
-                    break
-        if restart:
-            continue
-        break
+def _identity_rows(ops, n):
+    z, o = ops.zero, ops.one
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _g_diagonalize_from(ring, D, U, V, t0, rows, cols):
+def _diagonalize_from(ops, D, U, V, t0, rows, cols):
+    """Diagonalize D[t0:, t0:], keeping U*A*V = D.
+
+    Each step moves a nonzero of least norm to (t, t), then clears row
+    and column t by Euclidean steps, swapping a smaller remainder in as
+    the new pivot until both are clear.
+    """
+    z, norm, quo = ops.zero, ops.norm, ops.quo
+    sub_row, sub_col = ops.sub_row, ops.sub_col
     for t in range(t0, min(rows, cols)):
         bi = bj = -1
         best = 0
         for i in range(t, rows):
+            row = D[i]
             for j in range(t, cols):
-                v = D[i][j]
-                if not ring.is_zero(v):
-                    nv = ring.norm(v)
+                v = row[j]
+                if v != z:
+                    nv = norm(v)
                     if bi < 0 or nv < best:
                         bi, bj, best = i, j, nv
         if bi < 0:
@@ -91,96 +66,125 @@ def _g_diagonalize_from(ring, D, U, V, t0, rows, cols):
             D[bi], D[t] = D[t], D[bi]
             U[bi], U[t] = U[t], U[bi]
         if bj != t:
-            for i in range(rows):
-                D[i][bj], D[i][t] = D[i][t], D[i][bj]
-            for i in range(cols):
-                V[i][bj], V[i][t] = V[i][t], V[i][bj]
-        _g_eliminate_at(ring, D, U, V, t, rows, cols)
+            _swap_cols(D, bj, t)
+            _swap_cols(V, bj, t)
+        restart = True
+        while restart:
+            restart = False
+            Dt, Ut = D[t], U[t]
+            p = Dt[t]
+            for i in range(t + 1, rows):
+                Di = D[i]
+                if Di[t] != z:
+                    q = quo(Di[t], p)
+                    if q != z:
+                        D[i] = Di = sub_row(Di, Dt, q)
+                        U[i] = sub_row(U[i], Ut, q)
+                    if Di[t] != z:
+                        D[i], D[t] = Dt, Di
+                        U[i], U[t] = Ut, U[i]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, cols):
+                if Dt[j] != z:
+                    q = quo(Dt[j], p)
+                    if q != z:
+                        sub_col(D, j, t, q)
+                        sub_col(V, j, t, q)
+                    if Dt[j] != z:
+                        _swap_cols(D, j, t)
+                        _swap_cols(V, j, t)
+                        restart = True
+                        break
 
 
-def _g_snf(ring, a_rows, rows, cols):
+def _swap_cols(M, j, k):
+    for row in M:
+        row[j], row[k] = row[k], row[j]
+
+
+def _snf_rows(ops, a_rows, rows, cols):
     D = [row[:] for row in a_rows]
-    z, o = ring.zero(), ring.one()
-    U = [[o if i == j else z for j in range(rows)] for i in range(rows)]
-    V = [[o if i == j else z for j in range(cols)] for i in range(cols)]
+    U = _identity_rows(ops, rows)
+    V = _identity_rows(ops, cols)
+    z = ops.zero
     k = min(rows, cols)
-    _g_diagonalize_from(ring, D, U, V, 0, rows, cols)
+    _diagonalize_from(ops, D, U, V, 0, rows, cols)
     while True:
-        bad = -1
-        for i in range(k - 1):
-            if not ring.is_zero(D[i][i]) and ring.exact_div(D[i + 1][i + 1], D[i][i]) is None:
-                if not ring.is_zero(D[i + 1][i + 1]):
-                    bad = i
-                    break
-        if bad < 0:
+        # the first d_i that does not divide a nonzero d_{i+1}
+        for bad in range(k - 1):
+            d, e = D[bad][bad], D[bad + 1][bad + 1]
+            if d != z and e != z and ops.rem(e, d) != z:
+                break
+        else:
             break
-        for i in range(rows):
-            D[i][bad] = ring.add(D[i][bad], D[i][bad + 1])
-        for i in range(cols):
-            V[i][bad] = ring.add(V[i][bad], V[i][bad + 1])
-        _g_diagonalize_from(ring, D, U, V, bad, rows, cols)
+        # fold column bad+1 into column bad, then re-diagonalize the tail
+        ops.sub_col(D, bad, bad + 1, ops.minus_one)
+        ops.sub_col(V, bad, bad + 1, ops.minus_one)
+        _diagonalize_from(ops, D, U, V, bad, rows, cols)
     for i in range(k):
-        if not ring.is_zero(D[i][i]):
-            _, u = ring.normalize_assoc(D[i][i])
-            if not ring.eq(u, o):
-                for j in range(cols):
-                    D[i][j] = ring.mul(u, D[i][j])
-                for j in range(rows):
-                    U[i][j] = ring.mul(u, U[i][j])
+        d = D[i][i]
+        if d != z:
+            u = ops.unit(d)
+            if u != ops.one:
+                D[i] = ops.scale_row(D[i], u)
+                U[i] = ops.scale_row(U[i], u)
     return U, D, V
 
 
-def _g_hnf(ring, a_rows, rows, cols):
+def _hnf_rows(ops, a_rows, rows, cols):
+    z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
     H = [row[:] for row in a_rows]
-    z, o = ring.zero(), ring.one()
-    U = [[o if i == j else z for j in range(cols)] for i in range(cols)]
+    U = _identity_rows(ops, cols)
     c = 0
     for r in range(rows):
         if c >= cols:
             break
+        # rows above r are zero from column c on, so the column
+        # operations below leave them alone
+        Hl = H[r:]
+        Hr = Hl[0]
         while True:
             j0 = -1
             best = 0
             for j in range(c, cols):
-                v = H[r][j]
-                if not ring.is_zero(v):
-                    nv = ring.norm(v)
+                v = Hr[j]
+                if v != z:
+                    nv = norm(v)
                     if j0 < 0 or nv < best:
                         j0, best = j, nv
             if j0 < 0:
                 break
+            # reduce the rest of row r by its least entry; repeat while
+            # a remainder is left
+            p = Hr[j0]
             others = False
             for j in range(c, cols):
-                if j == j0 or ring.is_zero(H[r][j]):
+                if j == j0 or Hr[j] == z:
                     continue
-                q, _ = ring.euclid_div(H[r][j], H[r][j0])
-                for i in range(rows):
-                    H[i][j] = ring.sub(H[i][j], ring.mul(q, H[i][j0]))
-                for i in range(cols):
-                    U[i][j] = ring.sub(U[i][j], ring.mul(q, U[i][j0]))
-                if not ring.is_zero(H[r][j]):
+                q = quo(Hr[j], p)
+                sub_col(Hl, j, j0, q)
+                sub_col(U, j, j0, q)
+                if Hr[j] != z:
                     others = True
             if others:
                 continue
-            for i in range(rows):
-                H[i][c], H[i][j0] = H[i][j0], H[i][c]
-            for i in range(cols):
-                U[i][c], U[i][j0] = U[i][j0], U[i][c]
-            _, u = ring.normalize_assoc(H[r][c])
-            if not ring.eq(u, o):
-                for i in range(rows):
-                    H[i][c] = ring.mul(u, H[i][c])
-                for i in range(cols):
-                    U[i][c] = ring.mul(u, U[i][c])
-            p = H[r][c]
+            _swap_cols(Hl, c, j0)
+            _swap_cols(U, c, j0)
+            u = ops.unit(Hr[c])
+            if u != ops.one:
+                ops.scale_col(Hl, c, u)
+                ops.scale_col(U, c, u)
+            # reduce the entries left of the pivot
+            p = Hr[c]
             for j in range(c):
-                if not ring.is_zero(H[r][j]):
-                    q, _ = ring.euclid_div(H[r][j], p)
-                    if not ring.is_zero(q):
-                        for i in range(rows):
-                            H[i][j] = ring.sub(H[i][j], ring.mul(q, H[i][c]))
-                        for i in range(cols):
-                            U[i][j] = ring.sub(U[i][j], ring.mul(q, U[i][c]))
+                if Hr[j] != z:
+                    q = quo(Hr[j], p)
+                    if q != z:
+                        sub_col(Hl, j, c, q)
+                        sub_col(U, j, c, q)
             c += 1
             break
     return H, U
@@ -195,10 +199,7 @@ def snf(A):
     ring = A.ring
     if not ring.is_euclidean:
         raise UnsupportedRing(f"snf needs a Euclidean ring, got {ring}")
-    if ring.kind == INTEGERS:
-        U, D, V = backend.snf_int(A.to_rows(), A.rows, A.cols)
-    else:
-        U, D, V = _g_snf(ring, A.to_rows(), A.rows, A.cols)
+    U, D, V = _snf_rows(ring.elim_ops(), A.to_rows(), A.rows, A.cols)
     Um = Mat.from_rows(ring, U) if A.rows else Mat.identity(ring, 0)
     Vm = Mat.from_rows(ring, V) if A.cols else Mat.identity(ring, 0)
     Dm = Mat.from_rows(ring, D) if A.rows and A.cols else Mat.zeros(ring, A.rows, A.cols)
@@ -216,10 +217,7 @@ def hnf(A):
     ring = A.ring
     if not ring.is_euclidean:
         raise UnsupportedRing(f"hnf needs a Euclidean ring, got {ring}")
-    if ring.kind == INTEGERS:
-        H, U = backend.hnf_int(A.to_rows(), A.rows, A.cols)
-    else:
-        H, U = _g_hnf(ring, A.to_rows(), A.rows, A.cols)
+    H, U = _hnf_rows(ring.elim_ops(), A.to_rows(), A.rows, A.cols)
     Hm = Mat.from_rows(ring, H) if A.rows else Mat.zeros(ring, 0, A.cols)
     Um = Mat.from_rows(ring, U) if A.cols else Mat.identity(ring, 0)
     return Hm, Um

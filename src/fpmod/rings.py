@@ -3,7 +3,8 @@
 Supported rings: the integers, the rationals, prime fields, the Gaussian
 integers, and integers mod n.  Elements are plain Python values (int,
 Fraction, or an (re, im) int pair for Gaussian integers) kept in canonical
-form; all arithmetic goes through the RingDesc methods so downstream code
+form; all arithmetic goes through the RingDesc methods, or through the
+ring's ElimOps table in the normal-form elimination, so downstream code
 never needs to know the representation.
 
 Z/n is not a Euclidean domain; every normal-form computation over it is
@@ -11,6 +12,8 @@ done by lifting to the integers and appending n*identity relations (see
 fpmodule).
 """
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,7 +151,7 @@ class RingDesc:
     def is_zero(self, a):
         if self.kind == GAUSSIAN:
             return a == (0, 0)
-        return a == 0 or a == Fraction(0)
+        return a == 0
 
     def eq(self, a, b):
         return self.canon(a) == self.canon(b)
@@ -200,11 +203,8 @@ class RingDesc:
             return self.one(), u
         if self.kind == INTEGERS_MOD:
             raise UnsupportedRing("no associate normalization over IntegersMod")
-        for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-            d = self.mul(a, u)
-            if d[0] > 0 and d[1] >= 0:
-                return d, u
-        raise AssertionError("unreachable: Z[i] associate normalization")
+        u = _gauss_unit(a)
+        return _gauss_mul(a, u), u
 
     def euclid_div(self, a, b):
         """Euclidean division a = q*b + r with norm(r) < norm(b)."""
@@ -217,16 +217,22 @@ class RingDesc:
             return q, r
         if self.is_field:
             return self.mul(a, self.unit_inverse(b)), self.zero()
-        # Gaussian integers: round each rational coordinate of a/b to the
-        # nearest integer, ties toward zero; the remainder then has norm
-        # at most half of norm(b).
-        nb = self.norm(b)
-        conj = (b[0], -b[1])
-        num = self.mul(a, conj)
-        q = (_round_half_toward_zero(num[0], nb), _round_half_toward_zero(num[1], nb))
+        q = _gauss_quo(a, b)
         r = self.sub(a, self.mul(q, b))
-        assert self.norm(r) < nb
+        assert self.norm(r) < self.norm(b)
         return q, r
+
+    def elim_ops(self):
+        """The ElimOps table of this Euclidean ring."""
+        if self.kind == INTEGERS:
+            return _INT_OPS
+        if self.kind == RATIONALS:
+            return _RAT_OPS
+        if self.kind == GAUSSIAN:
+            return _GAUSS_OPS
+        if self.kind == PRIME_FIELD:
+            return _prime_field_ops(self.modulus)
+        raise UnsupportedRing(f"no Euclidean elimination over {self}")
 
     def exact_div(self, a, b):
         """Return a/b if b divides a exactly, else None."""
@@ -246,9 +252,199 @@ def _round_half_toward_zero(num, den):
     return q
 
 
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_quo(a, b):
+    """Euclidean quotient on Z[i]: each rational coordinate of a/b rounded
+    to the nearest integer, ties toward zero, so the remainder has norm
+    at most half of norm(b)."""
+    nb = b[0] * b[0] + b[1] * b[1]
+    num = _gauss_mul(a, (b[0], -b[1]))
+    return (_round_half_toward_zero(num[0], nb), _round_half_toward_zero(num[1], nb))
+
+
+def _gauss_unit(a):
+    """The unit u with u*a in the quadrant {re > 0, im >= 0}, for a != 0."""
+    for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        d = _gauss_mul(a, u)
+        if d[0] > 0 and d[1] >= 0:
+            return u
+    raise AssertionError("unreachable: Z[i] associate normalization")
+
+
 ZZ = RingDesc(INTEGERS)
 QQ = RingDesc(RATIONALS)
 ZI = RingDesc(GAUSSIAN)
+
+
+# ---------------------------------------------------------------------------
+# Elimination tables
+
+
+@dataclass(frozen=True)
+class ElimOps:
+    """The element operations of Smith/Hermite elimination over one ring.
+
+    normal_forms binds these once per call rather than going through the
+    per-element RingDesc dispatch.  Each entry computes the same value as
+    the RingDesc arithmetic it mirrors.  Matrices are lists of rows: row
+    updates return a new row, column updates change the rows in place.
+    norm, quo, rem and unit are only called with nonzero arguments
+    (for quo and rem: a nonzero divisor).
+    """
+
+    zero: object
+    one: object
+    minus_one: object
+    norm: Callable  # a -> Euclidean norm
+    quo: Callable  # (a, b) -> q with norm(a - q*b) < norm(b)
+    rem: Callable  # (a, b) -> a - quo(a, b)*b
+    unit: Callable  # a -> u with u*a the canonical associate of a
+    sub_row: Callable  # (x, y, q) -> x - q*y
+    scale_row: Callable  # (x, u) -> u*x
+    sub_col: Callable  # (M, j, k, q): column j of M -= q * column k
+    scale_col: Callable  # (M, j, u): column j of M *= u
+
+
+# entries shared between rings: the plain-arithmetic updates (ZZ, QQ) and
+# the trivial norm and remainder (QQ, GF(p))
+
+
+def _plain_sub_row(x, y, q):
+    return [a - q * b for a, b in zip(x, y)]
+
+
+def _plain_scale_row(x, u):
+    return [u * a for a in x]
+
+
+def _plain_sub_col(M, j, k, q):
+    for row in M:
+        row[j] -= q * row[k]
+
+
+def _plain_scale_col(M, j, u):
+    for row in M:
+        row[j] *= u
+
+
+def _field_norm(a):
+    return 1
+
+
+def _field_rem(a, b):
+    return 0
+
+
+def _sign(a):
+    return 1 if a > 0 else -1
+
+
+def _gauss_sub_row(x, y, q):
+    q0, q1 = q
+    return [
+        (a0 - (q0 * b0 - q1 * b1), a1 - (q0 * b1 + q1 * b0)) for (a0, a1), (b0, b1) in zip(x, y)
+    ]
+
+
+def _gauss_scale_row(x, u):
+    return [_gauss_mul(u, a) for a in x]
+
+
+def _gauss_sub_col(M, j, k, q):
+    q0, q1 = q
+    for row in M:
+        (a0, a1), (b0, b1) = row[j], row[k]
+        row[j] = (a0 - (q0 * b0 - q1 * b1), a1 - (q0 * b1 + q1 * b0))
+
+
+def _gauss_scale_col(M, j, u):
+    for row in M:
+        row[j] = _gauss_mul(u, row[j])
+
+
+def _gauss_rem(a, b):
+    qb = _gauss_mul(_gauss_quo(a, b), b)
+    return (a[0] - qb[0], a[1] - qb[1])
+
+
+def _prime_field_ops(p):
+    def quo(a, b):
+        return a * pow(b, -1, p) % p
+
+    def unit(a):
+        return pow(a, -1, p)
+
+    def sub_row(x, y, q):
+        return [(a - q * b) % p for a, b in zip(x, y)]
+
+    def scale_row(x, u):
+        return [u * a % p for a in x]
+
+    def sub_col(M, j, k, q):
+        for row in M:
+            row[j] = (row[j] - q * row[k]) % p
+
+    def scale_col(M, j, u):
+        for row in M:
+            row[j] = u * row[j] % p
+
+    return ElimOps(
+        zero=0,
+        one=1,
+        minus_one=p - 1,
+        norm=_field_norm,
+        quo=quo,
+        rem=_field_rem,
+        unit=unit,
+        sub_row=sub_row,
+        scale_row=scale_row,
+        sub_col=sub_col,
+        scale_col=scale_col,
+    )
+
+
+_PLAIN_UPDATES = dict(
+    sub_row=_plain_sub_row,
+    scale_row=_plain_scale_row,
+    sub_col=_plain_sub_col,
+    scale_col=_plain_scale_col,
+)
+_INT_OPS = ElimOps(
+    zero=0,
+    one=1,
+    minus_one=-1,
+    norm=abs,
+    quo=operator.floordiv,
+    rem=operator.mod,
+    unit=_sign,
+    **_PLAIN_UPDATES,
+)
+_RAT_OPS = ElimOps(
+    zero=Fraction(0),
+    one=Fraction(1),
+    minus_one=Fraction(-1),
+    norm=_field_norm,
+    quo=operator.truediv,
+    rem=_field_rem,
+    unit=lambda a: 1 / a,
+    **_PLAIN_UPDATES,
+)
+_GAUSS_OPS = ElimOps(
+    zero=(0, 0),
+    one=(1, 0),
+    minus_one=(-1, 0),
+    norm=lambda a: a[0] * a[0] + a[1] * a[1],
+    quo=_gauss_quo,
+    rem=_gauss_rem,
+    unit=_gauss_unit,
+    sub_row=_gauss_sub_row,
+    scale_row=_gauss_scale_row,
+    sub_col=_gauss_sub_col,
+    scale_col=_gauss_scale_col,
+)
 
 
 def Fp(p):

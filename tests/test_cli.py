@@ -1,6 +1,7 @@
 """CLI dispatch, JSON round trips, exit codes, and fault injection."""
 
 import json
+import time
 
 import pytest
 
@@ -209,3 +210,27 @@ def test_large_prime_field_moduli(tmp_path, capsys, modulus, code, error):
         assert out["error"] == error
     else:
         assert out == {"free_rank": "1", "torsion": []}
+
+
+@pytest.mark.parametrize("cmd", ["flattest", "projtest"])
+def test_large_prime_modulus_answers(tmp_path, capsys, cmd):
+    # trial division up to the square root would take ~10^9 steps
+    doc = {
+        "ring": {"kind": "IntegersMod", "modulus": "1000000000000000003"},
+        "modules": {"M": {"relations": [["2"]]}},
+    }
+    start = time.perf_counter()
+    code, out = run(capsys, [cmd, "--input", write(tmp_path, doc)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "error" not in out
+
+
+@pytest.mark.parametrize("cmd", ["flattest", "projtest"])
+def test_unfactorable_modulus_exit2(tmp_path, capsys, cmd):
+    doc = {
+        "ring": {"kind": "IntegersMod", "modulus": str(100003 * 100019)},
+        "modules": {"M": {"relations": [["2"]]}},
+    }
+    code, out = run(capsys, [cmd, "--input", write(tmp_path, doc)])
+    assert code == 2
+    assert out["error"] == "FactorizationTooHard"

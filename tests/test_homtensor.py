@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from fpmod.errors import DimensionMismatch, NotWellDefined, RingMismatch
+from fpmod.errors import DimensionMismatch, FactorizationTooHard, NotWellDefined, RingMismatch
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
     compose,
@@ -22,7 +22,9 @@ from fpmod.fpmodule import (
     zero_module,
 )
 from fpmod.homtensor import (
+    _TRIAL_DIVISION_BOUND,
     _divisors,
+    _prime_factorization,
     _projective_by_invariants,
     _projective_by_split_search,
     base_change,
@@ -197,3 +199,31 @@ def test_flat_over_large_modulus():
     ring = Zmod(2 * 10**7)
     assert is_flat(mk_module(ring, Mat.from_ints(ring, [[256, 0], [0, 1]])))
     assert not is_flat(mk_module(ring, Mat.from_ints(ring, [[2, 0], [0, 5]])))
+
+
+def _brute_factorization(n):
+    out = {}
+    p = 2
+    while n > 1:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def test_prime_factorization_matches_brute_force():
+    for n in range(1, 10**4 + 1):
+        assert _prime_factorization(n) == _brute_factorization(n)
+    assert _prime_factorization(2**20) == {2: 20}
+
+
+def test_prime_factorization_past_the_trial_bound():
+    p, q = 100003, 100019  # primes above the bound, p*q above its square
+    assert p > _TRIAL_DIVISION_BOUND and p * q > _TRIAL_DIVISION_BOUND**2
+    assert _prime_factorization(2**3 * p) == {2: 3, p: 1}
+    assert _prime_factorization(10**18 + 3) == {10**18 + 3: 1}
+    with pytest.raises(FactorizationTooHard):
+        _prime_factorization(p * q)
+    with pytest.raises(FactorizationTooHard):
+        _prime_factorization(6 * p * p)
