@@ -7,13 +7,10 @@ of valid input).
 """
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import FpmodError, InputError, InternalError
-from .matrix import Mat
-from .rings import ZZ, ring_map
 from . import descent as _descent
 from . import devissage as _devissage
 from . import fpmodule as _fp
@@ -29,7 +26,6 @@ from .jsonio import (
     encode_invariants,
     encode_mat,
     encode_module,
-    encode_morphism,
     encode_scalar,
     load_input,
 )
@@ -220,8 +216,6 @@ def cmd_descend(doc, args):
         raise InputError("descend needs a 'map' entry")
     M = _need(doc, "modules")
     rep = _descent.check_projectivity_descent(doc.map, M)
-    ring = M.ring
-    ext_ring = doc.map.target
     return {
         "projective_base": rep.verdict_base,
         "projective_extended": rep.verdict_extended,

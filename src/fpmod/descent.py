@@ -17,7 +17,6 @@ from .errors import (
 )
 from .matrix import Mat
 from .normal_forms import solve_linear
-from .fpmodule import FpModule, mk_morphism
 from . import homtensor
 from .homtensor import apply_ring_map, base_change, base_change_mor
 from .limits import ML, UNKNOWN, Tower, tower_ml_check

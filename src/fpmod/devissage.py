@@ -21,7 +21,6 @@ from .fpmodule import (
     SubmoduleRep,
     compose,
     full_submodule,
-    identity_morphism,
     image,
     mk_module,
     mk_morphism,

@@ -8,9 +8,6 @@ subclasses to exit code 1 (a bug: an internal cross-check failed).
 class FpmodError(Exception):
     """Base class for all fpmod errors."""
 
-    def payload(self):
-        return {"error": type(self).__name__, "message": str(self)}
-
 
 class InputError(FpmodError):
     """Invalid input supplied by the caller (CLI exit code 2)."""

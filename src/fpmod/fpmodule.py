@@ -4,16 +4,16 @@ A module is the cokernel of its relation matrix (gens rows, one column
 per relation).  Morphisms carry a well-definedness witness; equality of
 morphisms is always taken modulo the target relations.  Over
 IntegersMod(n) every normal-form computation lifts to the integers with
-n*identity relations appended, so the Euclidean kernels are the only
-elimination code in the package.
+n*identity relations appended (normal_forms.lift), so the Euclidean
+kernels are the only elimination code in the package.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, NotWellDefined, RingMismatch
 from .matrix import Mat
-from .normal_forms import kernel_matrix, snf, solve_linear
-from .rings import INTEGERS_MOD, ZZ
+from .normal_forms import kernel_matrix, lift, snf, solve_linear
+from .rings import INTEGERS_MOD
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class FpModule:
     def lifted_rels(self):
         """Relations over a Euclidean ring: the Z-lift with n*I appended for Z/n."""
         if self.ring.kind == INTEGERS_MOD:
-            lifted = self.rels.map_entries(lambda e: e, new_ring=ZZ)
-            nI = Mat.identity(ZZ, self.gens).scale(self.ring.modulus)
-            return lifted.hstack(nI)
+            return lift(self.rels)
         return self.rels
 
     def invariants(self):
@@ -84,10 +82,6 @@ def free_module(ring, rank):
 
 def zero_module(ring):
     return free_module(ring, 0)
-
-
-def invariant_factors(M):
-    return M.invariants()
 
 
 def is_iso(M, N):
@@ -155,10 +149,6 @@ def mor_power(f, k):
     return out
 
 
-def elem_eq(M, x, y):
-    return solve_linear(M.rels, x.sub(y)) is not None
-
-
 def is_zero_elem(M, x):
     return solve_linear(M.rels, x) is not None
 
@@ -214,8 +204,7 @@ def sub_intersection(a, b):
     u = K.select_rows(range(na))
     s = K.select_rows(range(na, na + nr))
     gens = a.gens_mat.mul(u).add(ra.mul(s)) if K.cols else Mat.zeros(amb.ring, amb.gens, 0)
-    keep = [j for j in range(gens.cols) if not gens.col_mat(j).is_zero()]
-    return SubmoduleRep(amb, gens.select_columns(keep))
+    return SubmoduleRep(amb, gens.nonzero_columns())
 
 
 def full_submodule(M):
@@ -244,9 +233,7 @@ def kernel(f):
     """(K, incl) with incl monic and image {x : f(x) = 0 in target}."""
     big = f.mat.hstack(f.target.rels)
     K = kernel_matrix(big)
-    G = K.select_rows(range(f.source.gens))
-    keep = [j for j in range(G.cols) if not G.col_mat(j).is_zero()]
-    G = G.select_columns(keep)
+    G = K.select_rows(range(f.source.gens)).nonzero_columns()
     return present_submodule(f.source, G)
 
 

@@ -17,11 +17,12 @@ import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .errors import FpmodError, InternalError
 from .matrix import Mat
-from .rings import GAUSSIAN, INTEGERS, INTEGERS_MOD, PRIME_FIELD, RATIONALS, RingDesc, ZI, ZZ, ring_map
+from .rings import GAUSSIAN, INTEGERS, RATIONALS, RingDesc, ZI, ZZ, ring_map
 from . import devissage as _devissage
 from . import descent as _descent
 from . import fpmodule as _fp
@@ -117,8 +118,8 @@ def _rand_morphism(rng, cfg, src, tgt):
     return H.decode(coeffs)
 
 
-def _pick_ring(rng, cfg):
-    return parse_ring_name(rng.choice(list(cfg.rings)))
+def _pick_ring(rng, names):
+    return parse_ring_name(rng.choice(list(names)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +183,59 @@ def _check_snf(inst):
 
 
 def _gen_module(rng, cfg):
-    ring = _pick_ring(rng, cfg)
+    ring = _pick_ring(rng, cfg.rings)
     return {"ring": str(ring), "mats": {"M": _rand_module_rows(rng, cfg)}}
 
 
-def _check_kernel_cokernel(inst):
+# Morphism instances are named by specs (matrix key, source key, target
+# key): a pair is one morphism f : M -> N, a span two maps f : A -> B and
+# g : A -> C out of a common source.
+PAIR = (("f", "M", "N"),)
+SPAN = (("f", "A", "B"), ("g", "A", "C"))
+
+
+def _spec_modules(specs):
+    """Module keys of the specs, in order of first appearance."""
+    return list(dict.fromkeys(k for _, src, tgt in specs for k in (src, tgt)))
+
+
+def _gen_morphisms(rng, cfg, specs, ring_names=None):
+    """Random modules, then a random morphism per spec, over one ring."""
+    ring = _pick_ring(rng, ring_names or cfg.rings)
+    rows = {k: _rand_module_rows(rng, cfg) for k in _spec_modules(specs)}
+    mods = {k: _module_from_rows(ring, r) for k, r in rows.items()}
+    for name, src, tgt in specs:
+        rows[name] = _int_rows(_rand_morphism(rng, cfg, mods[src], mods[tgt]).mat)
+    return {"ring": str(ring), "mats": rows}
+
+
+def _decode_morphisms(inst, *specs):
+    """The morphisms the specs name, or None if the (possibly shrunk)
+    instance no longer describes well-defined morphisms."""
     ring = parse_ring_name(inst["ring"])
-    M = _module_from_rows(ring, inst["mats"]["M"])
-    N = _module_from_rows(ring, inst["mats"]["N"])
-    if M is None or N is None:
+    mats = inst["mats"]
+    mods = {k: _module_from_rows(ring, mats[k]) for k in _spec_modules(specs)}
+    if any(M is None for M in mods.values()):
         return None
-    rows = inst["mats"]["f"]
-    if len(rows) != N.gens or (rows and len(rows[0]) != M.gens):
-        return None
+    for name, src, tgt in specs:
+        rows = mats[name]
+        if len(rows) != mods[tgt].gens or (rows and len(rows[0]) != mods[src].gens):
+            return None
     try:
-        f = _fp.mk_morphism(M, N, _mat(ring, rows))
+        return tuple(
+            _fp.mk_morphism(mods[src], mods[tgt], _mat(ring, mats[name]))
+            for name, src, tgt in specs
+        )
     except FpmodError:
         return None
+
+
+def _check_kernel_cokernel(inst):
+    decoded = _decode_morphisms(inst, *PAIR)
+    if decoded is None:
+        return None
+    (f,) = decoded
+    M, N = f.source, f.target
     coker, proj = _fp.cokernel(f)
     if not _fp.mor_eq(_fp.compose(proj, f), _fp.zero_morphism(M, coker)):
         return False
@@ -207,16 +244,6 @@ def _check_kernel_cokernel(inst):
         return False
     K2, _ = _fp.kernel(incl)
     return K2.is_zero_module()
-
-
-def _gen_morphism_pair_instance(rng, cfg, ring_names=None):
-    ring = parse_ring_name(rng.choice(list(ring_names or cfg.rings)))
-    mrows = _rand_module_rows(rng, cfg)
-    nrows = _rand_module_rows(rng, cfg)
-    M = _module_from_rows(ring, mrows)
-    N = _module_from_rows(ring, nrows)
-    f = _rand_morphism(rng, cfg, M, N)
-    return {"ring": str(ring), "mats": {"M": mrows, "N": nrows, "f": [list(r) for r in _int_rows(f.mat)]}}
 
 
 def _int_rows(A):
@@ -237,50 +264,8 @@ def _int_rows(A):
     return out
 
 
-def _gen_pushout(rng, cfg):
-    ring = parse_ring_name(rng.choice(["Integers", "IntegersMod(6)"]))
-    arows = _rand_module_rows(rng, cfg)
-    brows = _rand_module_rows(rng, cfg)
-    crows = _rand_module_rows(rng, cfg)
-    A = _module_from_rows(ring, arows)
-    B = _module_from_rows(ring, brows)
-    C = _module_from_rows(ring, crows)
-    f = _rand_morphism(rng, cfg, A, B)
-    g = _rand_morphism(rng, cfg, A, C)
-    return {
-        "ring": str(ring),
-        "mats": {
-            "A": arows,
-            "B": brows,
-            "C": crows,
-            "f": _int_rows(f.mat),
-            "g": _int_rows(g.mat),
-        },
-    }
-
-
-def _decode_pushout(inst):
-    ring = parse_ring_name(inst["ring"])
-    A = _module_from_rows(ring, inst["mats"]["A"])
-    B = _module_from_rows(ring, inst["mats"]["B"])
-    C = _module_from_rows(ring, inst["mats"]["C"])
-    if A is None or B is None or C is None:
-        return None
-    frows, grows = inst["mats"]["f"], inst["mats"]["g"]
-    if len(frows) != B.gens or (frows and len(frows[0]) != A.gens):
-        return None
-    if len(grows) != C.gens or (grows and len(grows[0]) != A.gens):
-        return None
-    try:
-        f = _fp.mk_morphism(A, B, _mat(ring, frows))
-        g = _fp.mk_morphism(A, C, _mat(ring, grows))
-    except FpmodError:
-        return None
-    return f, g
-
-
 def _check_pushout(inst):
-    fg = _decode_pushout(inst)
+    fg = _decode_morphisms(inst, *SPAN)
     if fg is None:
         return None
     f, g = fg
@@ -298,30 +283,8 @@ def _check_pushout(inst):
     return True
 
 
-def _gen_domination(rng, cfg):
-    ring = _pick_ring(rng, cfg)
-    arows = _rand_module_rows(rng, cfg)
-    brows = _rand_module_rows(rng, cfg)
-    crows = _rand_module_rows(rng, cfg)
-    A = _module_from_rows(ring, arows)
-    B = _module_from_rows(ring, brows)
-    C = _module_from_rows(ring, crows)
-    f = _rand_morphism(rng, cfg, A, B)
-    g = _rand_morphism(rng, cfg, A, C)
-    return {
-        "ring": str(ring),
-        "mats": {
-            "A": arows,
-            "B": brows,
-            "C": crows,
-            "f": _int_rows(f.mat),
-            "g": _int_rows(g.mat),
-        },
-    }
-
-
 def _check_domination(inst):
-    fg = _decode_pushout(inst)
+    fg = _decode_morphisms(inst, *SPAN)
     if fg is None:
         return None
     f, g = fg
@@ -334,26 +297,12 @@ def _check_domination(inst):
     return True
 
 
-def _gen_purity(rng, cfg):
-    inst = _gen_morphism_pair_instance(rng, cfg, ring_names=["Integers"])
-    return inst
-
-
 def _check_purity_descends(inst):
-    ring = parse_ring_name(inst["ring"])
-    M = _module_from_rows(ring, inst["mats"]["M"])
-    N = _module_from_rows(ring, inst["mats"]["N"])
-    if M is None or N is None:
+    decoded = _decode_morphisms(inst, *PAIR)
+    if decoded is None:
         return None
-    rows = inst["mats"]["f"]
-    if len(rows) != N.gens or (rows and len(rows[0]) != M.gens):
-        return None
-    try:
-        f = _fp.mk_morphism(M, N, _mat(ring, rows))
-    except FpmodError:
-        return None
-    phi = ring_map(ZZ, ZI)
-    return _purity.purity_descends(phi, f)
+    (f,) = decoded
+    return _purity.purity_descends(ring_map(ZZ, ZI), f)
 
 
 def _check_ml_identity(inst):
@@ -387,8 +336,7 @@ def _gen_devissage(rng, cfg):
     nil = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            di = ds[i] if ring.kind == INTEGERS else ds[i]
-            dj = ds[j] if ring.kind == INTEGERS else ds[j]
+            di, dj = ds[i], ds[j]
             if di == 0:
                 step = 1
             else:
@@ -538,10 +486,16 @@ def _check_enlarge(inst):
 
 SUITES = {
     "snf_roundtrip": (_gen_snf, _check_snf),
-    "kernel_cokernel": (lambda rng, cfg: _gen_morphism_pair_instance(rng, cfg), _check_kernel_cokernel),
-    "pushout_universal": (_gen_pushout, _check_pushout),
-    "domination_cross_oracle": (_gen_domination, _check_domination),
-    "purity_descends": (_gen_purity, _check_purity_descends),
+    "kernel_cokernel": (partial(_gen_morphisms, specs=PAIR), _check_kernel_cokernel),
+    "pushout_universal": (
+        partial(_gen_morphisms, specs=SPAN, ring_names=("Integers", "IntegersMod(6)")),
+        _check_pushout,
+    ),
+    "domination_cross_oracle": (partial(_gen_morphisms, specs=SPAN), _check_domination),
+    "purity_descends": (
+        partial(_gen_morphisms, specs=PAIR, ring_names=("Integers",)),
+        _check_purity_descends,
+    ),
     "ml_identity_tower": (_gen_module, _check_ml_identity),
     "devissage_roundtrip": (_gen_devissage, _check_devissage_roundtrip),
     "summand_devissage": (_gen_devissage, _check_summand_devissage),

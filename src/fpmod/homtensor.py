@@ -1,8 +1,13 @@
 """Hom modules, tensor products, base change, and the two deciders
 (flatness, projectivity) that the descent theorems compare.
 
-Hom(M, N) is presented by solving the well-definedness constraint
-T * M.rels = N.rels * Y for the matrix T of a candidate morphism; tensor
+A morphism X : M -> N is well defined when X * M.rels = N.rels * Y for
+some witness Y.  `_solve_morphism` is the one solver for morphism
+equations L * X * R = C modulo given columns: it vectorizes the equation
+together with the well-definedness constraint (`well_defined_block`) and
+hands the system to solve_linear.  Hom(M, N) is presented by the kernel
+of that constraint; purity's factorization and section searches and the
+split-search projectivity decider are calls of the solver.  Tensor
 products use the standard presentation with relations M.rels (x) id and
 id (x) N.rels; base change applies the ring map entrywise to the
 relation matrix.
@@ -15,7 +20,7 @@ from .matrix import Mat
 from .normal_forms import kernel_matrix, solve_linear
 from .fpmodule import (
     FpModule,
-    Morphism,
+    free_module,
     mk_module,
     mk_morphism,
 )
@@ -51,23 +56,49 @@ class HomModule:
         return sol.select_rows(range(self.gen_mats.cols))
 
 
+def well_defined_block(src, tgt):
+    """[src.rels^T (x) I | -(I (x) tgt.rels)], acting on [vec X; vec Y].
+
+    Its kernel holds the pairs with X * src.rels = tgt.rels * Y, i.e. the
+    well-defined matrices X of morphisms src -> tgt with their witnesses.
+    """
+    ring = src.ring
+    RS, RT = src.rels, tgt.rels
+    left = RS.transpose().kron(Mat.identity(ring, tgt.gens))
+    return left.hstack(Mat.identity(ring, RS.cols).kron(RT).neg())
+
+
+def _solve_morphism(src, tgt, L, R, C, mod):
+    """Matrix of a morphism X : src -> tgt with L*X*R = C modulo the
+    columns of mod, or None if there is none.
+
+    The unknowns are vec X, the well-definedness witness Y and the
+    coefficients Z of L*X*R - mod*Z = C, in that order; vec(L*X*R) is
+    (R^T (x) L) vec X and vec(mod*Z) is (I (x) mod) vec Z.
+    """
+    ring = src.ring
+    m = R.cols
+    n_y = tgt.rels.cols * src.rels.cols
+    wd = well_defined_block(src, tgt)
+    wd = wd.hstack(Mat.zeros(ring, wd.rows, mod.cols * m))
+    eq = R.transpose().kron(L).hstack(Mat.zeros(ring, L.rows * m, n_y))
+    eq = eq.hstack(Mat.identity(ring, m).kron(mod).neg())
+    rhs = Mat.zeros(ring, wd.rows, 1).vstack(C.vec())
+    sol = solve_linear(wd.vstack(eq), rhs)
+    if sol is None:
+        return None
+    return Mat.unvec(ring, sol.select_rows(range(tgt.gens * src.gens)), tgt.gens, src.gens)
+
+
 def hom_module(M, N):
     if M.ring != N.ring:
         raise RingMismatch(f"{M.ring} vs {N.ring}")
-    ring = M.ring
-    nm = N.gens * M.gens
-    # constraint [ (M.rels^T (x) I_N) | -(I_rM (x) N.rels) ] [vec T; vec Y] = 0
-    iN = Mat.identity(ring, N.gens)
-    irM = Mat.identity(ring, M.rels.cols)
-    lhs = M.rels.transpose().kron(iN).hstack(irM.kron(N.rels).neg())
-    K = kernel_matrix(lhs)
-    W = K.select_rows(range(nm))
-    keep = [j for j in range(W.cols) if not W.col_mat(j).is_zero()]
-    W = W.select_columns(keep)
+    K = kernel_matrix(well_defined_block(M, N))
+    W = K.select_rows(range(N.gens * M.gens)).nonzero_columns()
     # matrices whose columns lie in span(N.rels): vec(N.rels * C) = (I (x) N.rels) vec C
-    B = Mat.identity(ring, M.gens).kron(N.rels)
+    B = Mat.identity(M.ring, M.gens).kron(N.rels)
     rels = kernel_matrix(W.hstack(B)).select_rows(range(W.cols))
-    underlying = FpModule(ring, W.cols, rels)
+    underlying = FpModule(M.ring, W.cols, rels)
     return HomModule(M, N, underlying, W, B)
 
 
@@ -195,13 +226,14 @@ def _projective_by_invariants(M):
 
 def _projective_by_split_search(M):
     # section of the canonical R^gens ->> M: S = I + A*W with S*A = 0,
-    # i.e. A*W*A = -A; vec(AWA) = (A^T (x) A) vec(W)
+    # i.e. A*W*A = -A for a W : R^gens -> R^rels
     A = M.rels
     if A.cols == 0:
         return True
-    lhs = A.transpose().kron(A)
-    rhs = A.neg().vec()
-    return solve_linear(lhs, rhs) is not None
+    F = free_module(M.ring, M.gens)
+    # F has no relations, so F.rels is the empty modulus
+    W = _solve_morphism(F, free_module(M.ring, A.cols), A, A, A.neg(), F.rels)
+    return W is not None
 
 
 def is_projective(M):

@@ -20,7 +20,7 @@ from .rings import (
     RingDesc,
     ring_map,
 )
-from .fpmodule import FpModule, Morphism, mk_module, mk_morphism
+from .fpmodule import mk_module, mk_morphism
 from .limits import BACKWARD, FORWARD, Tower
 
 
@@ -97,15 +97,6 @@ def decode_ring_map(doc, where="map"):
         raise InputError(f"{where}: {exc}") from None
 
 
-def encode_ring_map(phi):
-    return {
-        "source": encode_ring(phi.source),
-        "target": encode_ring(phi.target),
-        "flat": phi.flat,
-        "faithfully_flat": phi.faithfully_flat,
-    }
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -141,14 +132,6 @@ def decode_mat(ring, doc, where="matrix", rows=None, cols=None):
 
 def encode_module(M):
     return {"ring": encode_ring(M.ring), "relations": encode_mat(M.rels)}
-
-
-def encode_morphism(f):
-    return {
-        "source": encode_module(f.source),
-        "target": encode_module(f.target),
-        "matrix": encode_mat(f.mat),
-    }
 
 
 def encode_invariants(M):

@@ -29,11 +29,9 @@ from .fpmodule import (
     is_surjective,
     kernel,
     identity_morphism,
-    mk_module,
     mor_eq,
     mor_power,
     sub_eq,
-    sub_leq,
 )
 from .purity import solve_factor
 

@@ -157,11 +157,12 @@ class Mat:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
+        a, b, ac, bc = self.entries, other.entries, self.cols, other.cols
         out = []
         for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return Mat(self.ring, self.rows, self.cols + other.cols, tuple(out))
+            out += a[i * ac : (i + 1) * ac]
+            out += b[i * bc : (i + 1) * bc]
+        return Mat(self.ring, self.rows, ac + bc, tuple(out))
 
     def vstack(self, other):
         if self.ring != other.ring:
@@ -180,18 +181,14 @@ class Mat:
         """Kronecker product (row-major block layout)."""
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
-        r = self.ring
-        rows, cols = self.rows * other.rows, self.cols * other.cols
-        out = [r.zero()] * (rows * cols)
+        mul = self.ring.mul
+        out = []
         for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.get(i, j)
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        out[(i * other.rows + k) * cols + (j * other.cols + l)] = r.mul(
-                            a, other.get(k, l)
-                        )
-        return Mat(self.ring, rows, cols, tuple(out))
+            arow = self.row(i)
+            for k in range(other.rows):
+                brow = other.row(k)
+                out.extend(mul(a, b) for a in arow for b in brow)
+        return Mat(self.ring, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def select_columns(self, idxs):
         out = []
@@ -199,6 +196,10 @@ class Mat:
             row = self.row(i)
             out.append([row[j] for j in idxs])
         return Mat.from_rows(self.ring, out) if self.rows else Mat(self.ring, 0, len(idxs))
+
+    def nonzero_columns(self):
+        """The matrix of the columns that are not zero, in their order."""
+        return self.select_columns([j for j in range(self.cols) if not self.col_mat(j).is_zero()])
 
     def select_rows(self, idxs):
         ents = []

@@ -5,7 +5,9 @@ One Smith and one Hermite elimination serve every Euclidean ring
 element operations from the ring's ElimOps table (rings.RingDesc.elim_ops),
 bound once per call: norm, Euclidean quotient, associate unit, and
 whole-row and whole-column updates.  IntegersMod(n) is handled by
-lifting to the integers and appending n*identity columns/relations.
+`lift`, the one place that turns a Z/n matrix into an integer one with
+n*identity columns appended; solve_linear, kernel_matrix and
+FpModule.lifted_rels all go through it.
 
 Linear systems are solved through the column Hermite form, whose
 transform stays small; the Smith form serves invariant factors,
@@ -223,9 +225,19 @@ def hnf(A):
     return Hm, Um
 
 
-def _lift_to_int(A):
-    """Lift a Z/n matrix entrywise to Z (residues in [0, n))."""
-    return A.map_entries(lambda e: e, new_ring=ZZ)
+def _as_ring(A, ring):
+    """A with its entries read in ring: Z/n residues in [0, n) as integers,
+    or integers as residues."""
+    return A.map_entries(lambda e: e, new_ring=ring)
+
+
+def lift(A):
+    """[A | n*I] over the integers for a Z/n matrix A.
+
+    Its column span over Z is the preimage of the column span of A, so a
+    Z/n problem becomes one over a Euclidean ring.
+    """
+    return _as_ring(A, ZZ).hstack(Mat.identity(ZZ, A.rows).scale(A.ring.modulus))
 
 
 def solve_linear(A, B):
@@ -236,14 +248,10 @@ def solve_linear(A, B):
     if A.rows != B.rows:
         raise DimensionMismatch(f"row mismatch: {A.rows} vs {B.rows}")
     if ring.kind == INTEGERS_MOD:
-        n = ring.modulus
-        Al = _lift_to_int(A)
-        nI = Mat.identity(ZZ, A.rows).scale(n)
-        X = solve_linear(Al.hstack(nI), _lift_to_int(B))
+        X = solve_linear(lift(A), _as_ring(B, ZZ))
         if X is None:
             return None
-        top = X.select_rows(range(A.cols))
-        return top.map_entries(lambda e: e, new_ring=ring)
+        return _as_ring(X.select_rows(range(A.cols)), ring)
     # A*W = H with H in column echelon form: column c is zero above its
     # pivot row, and a row that holds no pivot is zero from the next
     # pivot column on.  Forward substitution solves H*Y = B; X = W*Y.
@@ -274,13 +282,8 @@ def kernel_matrix(A):
     """Columns generating {x : A*x = 0} over the ring."""
     ring = A.ring
     if ring.kind == INTEGERS_MOD:
-        n = ring.modulus
-        Al = _lift_to_int(A)
-        nI = Mat.identity(ZZ, A.rows).scale(n)
-        K = kernel_matrix(Al.hstack(nI))
-        top = K.select_rows(range(A.cols)).map_entries(lambda e: e, new_ring=ring)
-        keep = [j for j in range(top.cols) if not top.col_mat(j).is_zero()]
-        return top.select_columns(keep)
+        K = kernel_matrix(lift(A))
+        return _as_ring(K.select_rows(range(A.cols)), ring).nonzero_columns()
     sf = snf(A)
     k = len(sf.invariant_factors)
     return sf.V.select_columns(range(k, A.cols))

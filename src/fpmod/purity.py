@@ -5,6 +5,10 @@ For finitely presented data a pure monomorphism with finitely presented
 cokernel splits, and split monos are pure, so purity is decided by a
 retraction search.  The tensor-probe family only supplies explicit
 counterexample witnesses for the negative verdicts.
+
+Factorizations, retractions and sections are morphism equations; they
+are solved by homtensor._solve_morphism, which builds the vectorized
+system in one place.
 """
 
 from dataclasses import dataclass
@@ -18,9 +22,7 @@ from .errors import (
     SquareDoesNotCommute,
 )
 from .matrix import Mat
-from .normal_forms import solve_linear
 from .fpmodule import (
-    FpModule,
     Morphism,
     compose,
     free_module,
@@ -31,69 +33,31 @@ from .fpmodule import (
     mk_morphism,
     mor_eq,
 )
-from .homtensor import base_change_mor, tensor, tensor_mor
+from .homtensor import _solve_morphism, base_change_mor, tensor_mor
 
 
 def solve_factor(src, tgt, A, B):
     """Find a morphism H : src -> tgt with H*A = B modulo tgt relations.
 
     A maps into src coordinates (src.gens x m), B into tgt coordinates
-    (tgt.gens x m).  Solves simultaneously for H, its well-definedness
-    witness, and the relation coefficients; returns None if no factor
-    exists.
+    (tgt.gens x m).  Returns None if no factor exists.
     """
-    ring = src.ring
-    p, q = tgt.gens, src.gens
-    RS, RT = src.rels, tgt.rels
-    m = A.cols
-    Ip = Mat.identity(ring, p)
-    n_h, n_y, n_z = p * q, RT.cols * RS.cols, RT.cols * m
-    # H*RS = RT*Y  and  H*A - RT*Z = B
-    r1 = RS.transpose().kron(Ip)
-    r1 = r1.hstack(Mat.identity(ring, RS.cols).kron(RT).neg())
-    r1 = r1.hstack(Mat.zeros(ring, p * RS.cols, n_z))
-    r2 = A.transpose().kron(Ip)
-    r2 = r2.hstack(Mat.zeros(ring, p * m, n_y))
-    r2 = r2.hstack(Mat.identity(ring, m).kron(RT).neg())
-    lhs = r1.vstack(r2)
-    rhs = Mat.zeros(ring, p * RS.cols, 1).vstack(B.vec())
-    sol = solve_linear(lhs, rhs)
-    if sol is None:
-        return None
-    h = sol.select_rows(range(n_h))
-    H = Mat.unvec(ring, h, p, q)
-    return mk_morphism(src, tgt, H)
+    H = _solve_morphism(src, tgt, Mat.identity(src.ring, tgt.gens), A, B, tgt.rels)
+    return None if H is None else mk_morphism(src, tgt, H)
 
 
 def solve_section(p):
     """Find s with p o s = id on p's target, or None.
 
     Dual of find_retraction: the unknown sits on the right of the
-    composition, so the vectorized system is assembled with the ring map
-    on the left.
+    composition, so p's matrix is the left factor of the equation.
     """
-    ring = p.source.ring
-    Q, Bm = p.target, p.source
-    RQ, RB = Q.rels, Bm.rels
-    IB = Mat.identity(ring, Bm.gens)
-    IQ = Mat.identity(ring, Q.gens)
-    n_s = Bm.gens * Q.gens
-    n_y = RB.cols * RQ.cols
-    n_z = RQ.cols * Q.gens
-    # S*RQ = RB*Y  and  p.mat*S - I = RQ*Z
-    r1 = RQ.transpose().kron(IB)
-    r1 = r1.hstack(Mat.identity(ring, RQ.cols).kron(RB).neg())
-    r1 = r1.hstack(Mat.zeros(ring, Bm.gens * RQ.cols, n_z))
-    r2 = IQ.kron(p.mat)
-    r2 = r2.hstack(Mat.zeros(ring, Q.gens * Q.gens, n_y))
-    r2 = r2.hstack(Mat.identity(ring, Q.gens).kron(RQ).neg())
-    lhs = r1.vstack(r2)
-    rhs = Mat.zeros(ring, Bm.gens * RQ.cols, 1).vstack(IQ.vec())
-    sol = solve_linear(lhs, rhs)
-    if sol is None:
+    Q = p.target
+    IQ = Mat.identity(Q.ring, Q.gens)
+    S = _solve_morphism(Q, p.source, p.mat, IQ, IQ, Q.rels)
+    if S is None:
         return None
-    S = Mat.unvec(ring, sol.select_rows(range(n_s)), Bm.gens, Q.gens)
-    s = mk_morphism(Q, Bm, S)
+    s = mk_morphism(Q, p.source, S)
     assert mor_eq(compose(p, s), identity_morphism(Q))
     return s
 

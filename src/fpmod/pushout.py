@@ -13,6 +13,7 @@ from .fpmodule import (
     FpModule,
     Morphism,
     compose,
+    identity_morphism,
     is_iso,
     mk_module,
     mk_morphism,
@@ -67,13 +68,9 @@ def pushout_base_change_check(phi, f, g):
     # the identification: same generators in the same order on both sides
     ident = mk_morphism(changed, PS.object, Mat.identity(phi.target, changed.gens))
     ident_back = mk_morphism(PS.object, changed, Mat.identity(phi.target, changed.gens))
-    if not mor_eq(compose(ident, ident_back), _id(PS.object)):
+    if not mor_eq(compose(ident, ident_back), identity_morphism(PS.object)):
         return False
-    if not mor_eq(compose(ident_back, ident), _id(changed)):
+    if not mor_eq(compose(ident_back, ident), identity_morphism(changed)):
         return False
     # triangle: ident o base_change(inr) = inr of the base-changed pushout
     return mor_eq(compose(ident, base_change_mor(phi, P.inr)), PS.inr)
-
-
-def _id(M):
-    return mk_morphism(M, M, Mat.identity(M.ring, M.gens))

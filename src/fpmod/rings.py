@@ -85,10 +85,6 @@ class RingDesc:
     def is_field(self):
         return self.kind in (RATIONALS, PRIME_FIELD)
 
-    @property
-    def is_domain(self):
-        return self.kind != INTEGERS_MOD
-
     def __str__(self):
         if self.kind in (INTEGERS_MOD, PRIME_FIELD):
             return f"{self.kind}({self.modulus})"
@@ -152,9 +148,6 @@ class RingDesc:
         if self.kind == GAUSSIAN:
             return a == (0, 0)
         return a == 0
-
-    def eq(self, a, b):
-        return self.canon(a) == self.canon(b)
 
     def norm(self, a):
         """Euclidean norm: |a| on Z, a^2+b^2 on Z[i], 0/1 on fields."""

@@ -51,6 +51,36 @@ def test_instance_streams_deterministic():
         assert i1 == i2, name
 
 
+def test_instance_stream_digest():
+    """The generated instances of the default CLI config are pinned: a
+    change to a generator or to its order of random draws moves them."""
+    import hashlib
+    import random
+
+    from fpmod.jsonio import dumps
+
+    cfg = HarnessConfig(seed=0, trials=25, max_gens=3, max_entry=6)
+    h = hashlib.sha256()
+    for name in sorted(SUITES):
+        gen, _check = SUITES[name]
+        for i in range(cfg.trials):
+            h.update(dumps([name, i, gen(random.Random(derived_seed(0, name, i)), cfg)]).encode())
+    assert h.hexdigest() == "05b6b2e133fc804ba3efa2f8636f66319bef02af31d1604f6d8e960463fe84c2"
+
+
+def test_suites_pickle():
+    import pickle
+    import random
+
+    cfg = HarnessConfig(seed=5, trials=1)
+    copy = pickle.loads(pickle.dumps(SUITES))
+    assert list(copy) == list(SUITES)
+    for name, (gen, _check) in copy.items():
+        i1 = gen(random.Random(derived_seed(5, name, 0)), cfg)
+        i2 = SUITES[name][0](random.Random(derived_seed(5, name, 0)), cfg)
+        assert i1 == i2, name
+
+
 def test_report_identical_across_parallelism():
     cfg1 = HarnessConfig(seed=42, trials=2, parallelism=1)
     cfg8 = HarnessConfig(seed=42, trials=2, parallelism=8)
