@@ -17,10 +17,6 @@ class InternalError(FpmodError):
     """An internal invariant failed; indicates a bug (CLI exit code 1)."""
 
 
-class DivisionByZero(InputError):
-    pass
-
-
 class UnsupportedRing(InputError):
     pass
 

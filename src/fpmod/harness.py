@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import FpmodError, InternalError
+from .errors import FpmodError, InputError, InternalError
 from .matrix import Mat
 from .rings import GAUSSIAN, INTEGERS, RATIONALS, RingDesc, ZI, ZZ, ring_map
 from . import devissage as _devissage
@@ -58,11 +58,19 @@ class HarnessConfig:
 
 
 def parse_ring_name(name):
+    """The ring of a name like "IntegersMod(6)"; an InputError names a bad one."""
     name = name.strip()
+    kind, modulus = name, 0
     if "(" in name and name.endswith(")"):
         kind, arg = name[:-1].split("(", 1)
-        return RingDesc(kind, int(arg))
-    return RingDesc(name)
+        try:
+            modulus = int(arg)
+        except ValueError:
+            raise InputError(f"ring {name!r}: modulus {arg!r} is not an integer") from None
+    try:
+        return RingDesc(kind, modulus)
+    except InputError as exc:
+        raise type(exc)(f"ring {name!r}: {exc}") from None
 
 
 def derived_seed(seed, suite, index):
@@ -576,17 +584,31 @@ def _run_one(suite, index, cfg):
     return None
 
 
+def _timed_run_one(cfg, task):
+    started = time.monotonic()
+    res = _run_one(task[0], task[1], cfg)
+    return res, time.monotonic() - started
+
+
+_SLOWEST_SHOWN = 5
+
+
 def run_harness(cfg, suites=None):
-    """Run all (or the named) suites; returns (report dict, exit code)."""
+    """Run all (or the named) suites; returns (report dict, exit code).
+
+    Wall-clock times, the total and the slowest instances, go to stderr.
+    """
     names = sorted(suites or SUITES)
     tasks = [(s, i) for s in names for i in range(cfg.trials)]
     started = time.monotonic()
+    run = partial(_timed_run_one, cfg)
     if cfg.parallelism > 1 and tasks:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as ex:
-            results = list(ex.map(lambda t: _run_one(t[0], t[1], cfg), tasks))
+            timed = list(ex.map(run, tasks))
     else:
-        results = [_run_one(s, i, cfg) for (s, i) in tasks]
+        timed = [run(t) for t in tasks]
     elapsed = time.monotonic() - started
+    results = [res for res, _ in timed]
     by_suite = {
         s: {"trials": cfg.trials, "failures": []} for s in names
     }
@@ -608,6 +630,9 @@ def run_harness(cfg, suites=None):
         f"(parallelism {cfg.parallelism})",
         file=sys.stderr,
     )
+    slowest = sorted(zip(tasks, timed), key=lambda p: -p[1][1])[:_SLOWEST_SHOWN]
+    for (s, i), (_res, seconds) in slowest:
+        print(f"harness: slow instance {s} #{i} {seconds:.3f}s", file=sys.stderr)
     return report, (0 if total == 0 else 1)
 
 

@@ -191,15 +191,18 @@ class Mat:
         return Mat(self.ring, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def select_columns(self, idxs):
-        out = []
+        ents = []
         for i in range(self.rows):
             row = self.row(i)
-            out.append([row[j] for j in idxs])
-        return Mat.from_rows(self.ring, out) if self.rows else Mat(self.ring, 0, len(idxs))
+            ents.extend(row[j] for j in idxs)
+        return Mat(self.ring, self.rows, len(idxs), tuple(ents))
 
     def nonzero_columns(self):
         """The matrix of the columns that are not zero, in their order."""
-        return self.select_columns([j for j in range(self.cols) if not self.col_mat(j).is_zero()])
+        is_zero = self.ring.is_zero
+        return self.select_columns(
+            [j for j in range(self.cols) if not all(is_zero(e) for e in self.col(j))]
+        )
 
     def select_rows(self, idxs):
         ents = []

@@ -2,12 +2,12 @@
 
 One Smith and one Hermite elimination serve every Euclidean ring
 (integers, rationals, prime fields, Gaussian integers).  They take the
-element operations from the ring's ElimOps table (rings.RingDesc.elim_ops),
-bound once per call: norm, Euclidean quotient, associate unit, and
-whole-row and whole-column updates.  IntegersMod(n) is handled by
-`lift`, the one place that turns a Z/n matrix into an integer one with
-n*identity columns appended; solve_linear, kernel_matrix and
-FpModule.lifted_rels all go through it.
+Euclidean entries of the ring's one arithmetic table, its rings.RingOps
+(rings.RingDesc.elim_ops), bound once per call: norm, Euclidean quotient
+and remainder, associate unit, and whole-row and whole-column updates.
+IntegersMod(n) is handled by `lift`, the one place that turns a Z/n
+matrix into an integer one with n*identity columns appended;
+solve_linear, kernel_matrix and FpModule.lifted_rels all go through it.
 
 Linear systems are solved through the column Hermite form, whose
 transform stays small; the Smith form serves invariant factors,

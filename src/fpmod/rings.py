@@ -3,9 +3,12 @@
 Supported rings: the integers, the rationals, prime fields, the Gaussian
 integers, and integers mod n.  Elements are plain Python values (int,
 Fraction, or an (re, im) int pair for Gaussian integers) kept in canonical
-form; all arithmetic goes through the RingDesc methods, or through the
-ring's ElimOps table in the normal-form elimination, so downstream code
-never needs to know the representation.
+form.  Each ring has one arithmetic table, a RingOps: the element
+operations, and for the Euclidean rings the norm, quotient, remainder,
+associate unit and row/column updates of the normal-form elimination.
+RingDesc binds the element operations onto itself, so downstream code
+never needs to know the representation and no operation branches on the
+kind of ring.
 
 Z/n is not a Euclidean domain; every normal-form computation over it is
 done by lifting to the integers and appending n*identity relations (see
@@ -16,8 +19,10 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
-from .errors import DivisionByZero, InputError, PrimalityUndecided, UnsupportedRing
+from .errors import InputError, PrimalityUndecided, UnsupportedRing
 
 INTEGERS = "Integers"
 RATIONALS = "Rationals"
@@ -64,22 +69,43 @@ def _is_prime(p):
 
 @dataclass(frozen=True)
 class RingDesc:
+    """A supported ring, identified by (kind, modulus).
+
+    Its element operations are the entries of its RingOps table, bound
+    onto the instance when it is built, so ring.add over the integers is
+    operator.add.  Equality, hashing, printing and pickling go by
+    (kind, modulus) alone.
+    """
+
     kind: str
     modulus: int = 0  # n for IntegersMod, p for PrimeField
 
     def __post_init__(self):
-        if self.kind not in (INTEGERS, RATIONALS, PRIME_FIELD, GAUSSIAN, INTEGERS_MOD):
+        if self.kind in _FIXED_OPS:
+            if self.modulus:
+                raise InputError(f"{self.kind} takes no modulus, got {self.modulus}")
+            ops = _FIXED_OPS[self.kind]
+        elif self.kind == INTEGERS_MOD:
+            if self.modulus < 2:
+                raise InputError("IntegersMod requires n >= 2")
+            ops = _residue_ops(self.modulus, field=False)
+        elif self.kind == PRIME_FIELD:
+            if not _is_prime(self.modulus):
+                raise InputError(f"PrimeField requires a prime, got {self.modulus}")
+            ops = _residue_ops(self.modulus, field=True)
+        else:
             raise InputError(f"unknown ring kind {self.kind!r}")
-        if self.kind == INTEGERS_MOD and self.modulus < 2:
-            raise InputError("IntegersMod requires n >= 2")
-        if self.kind == PRIME_FIELD and not _is_prime(self.modulus):
-            raise InputError(f"PrimeField requires a prime, got {self.modulus}")
+        object.__setattr__(self, "ops", ops)
+        for name in _ELEMENT_OPS:
+            object.__setattr__(self, name, getattr(ops, name))
 
-    # ---- structural predicates -------------------------------------------
+    def __reduce__(self):
+        # the bound GF(p) and Z/n closures do not pickle; rebuild instead
+        return RingDesc, (self.kind, self.modulus)
 
     @property
     def is_euclidean(self):
-        return self.kind != INTEGERS_MOD
+        return self.ops.quo is not None
 
     @property
     def is_field(self):
@@ -90,149 +116,24 @@ class RingDesc:
             return f"{self.kind}({self.modulus})"
         return self.kind
 
-    # ---- element construction --------------------------------------------
-
     def zero(self):
-        return self.from_int(0)
+        return self.ops.zero
 
     def one(self):
-        return self.from_int(1)
-
-    def from_int(self, k):
-        if self.kind == INTEGERS:
-            return k
-        if self.kind == RATIONALS:
-            return Fraction(k)
-        if self.kind in (PRIME_FIELD, INTEGERS_MOD):
-            return k % self.modulus
-        return (k, 0)
-
-    def canon(self, a):
-        """Bring an element into canonical form (residues reduced, etc.)."""
-        if self.kind == INTEGERS:
-            return int(a)
-        if self.kind == RATIONALS:
-            return Fraction(a)
-        if self.kind in (PRIME_FIELD, INTEGERS_MOD):
-            return int(a) % self.modulus
-        re, im = a
-        return (int(re), int(im))
-
-    # ---- arithmetic ------------------------------------------------------
-
-    def add(self, a, b):
-        if self.kind == GAUSSIAN:
-            return (a[0] + b[0], a[1] + b[1])
-        if self.kind in (PRIME_FIELD, INTEGERS_MOD):
-            return (a + b) % self.modulus
-        return a + b
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        if self.kind == GAUSSIAN:
-            return (-a[0], -a[1])
-        if self.kind in (PRIME_FIELD, INTEGERS_MOD):
-            return (-a) % self.modulus
-        return -a
-
-    def mul(self, a, b):
-        if self.kind == GAUSSIAN:
-            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-        if self.kind in (PRIME_FIELD, INTEGERS_MOD):
-            return (a * b) % self.modulus
-        return a * b
-
-    def is_zero(self, a):
-        if self.kind == GAUSSIAN:
-            return a == (0, 0)
-        return a == 0
-
-    def norm(self, a):
-        """Euclidean norm: |a| on Z, a^2+b^2 on Z[i], 0/1 on fields."""
-        if self.kind == INTEGERS:
-            return abs(a)
-        if self.kind == GAUSSIAN:
-            return a[0] * a[0] + a[1] * a[1]
-        return 0 if self.is_zero(a) else 1
-
-    def is_unit(self, a):
-        if self.kind == INTEGERS:
-            return a in (1, -1)
-        if self.kind == GAUSSIAN:
-            return a in ((1, 0), (-1, 0), (0, 1), (0, -1))
-        if self.is_field:
-            return not self.is_zero(a)
-        from math import gcd
-
-        return gcd(a, self.modulus) == 1
-
-    def unit_inverse(self, a):
-        if not self.is_unit(a):
-            raise InputError(f"{a!r} is not a unit in {self}")
-        if self.kind == INTEGERS:
-            return a
-        if self.kind == GAUSSIAN:
-            if a in ((1, 0), (-1, 0)):
-                return a
-            return (0, -a[1])  # i and -i are mutual inverses
-        if self.kind == RATIONALS:
-            return 1 / Fraction(a)
-        return pow(a, -1, self.modulus)
-
-    def normalize_assoc(self, a):
-        """Return (d, u) with d = u*a canonical among the associates of a.
-
-        Canonical choice: nonnegative on Z, monic 1 on fields, and the
-        unique associate in the quadrant {re > 0, im >= 0} on Z[i].
-        """
-        if self.is_zero(a):
-            return self.canon(a), self.one()
-        if self.kind == INTEGERS:
-            return (a, 1) if a > 0 else (-a, -1)
-        if self.is_field:
-            u = self.unit_inverse(a)
-            return self.one(), u
-        if self.kind == INTEGERS_MOD:
-            raise UnsupportedRing("no associate normalization over IntegersMod")
-        u = _gauss_unit(a)
-        return _gauss_mul(a, u), u
-
-    def euclid_div(self, a, b):
-        """Euclidean division a = q*b + r with norm(r) < norm(b)."""
-        if not self.is_euclidean:
-            raise UnsupportedRing(f"no Euclidean division over {self}")
-        if self.is_zero(b):
-            raise DivisionByZero("division by zero")
-        if self.kind == INTEGERS:
-            q, r = divmod(a, b)
-            return q, r
-        if self.is_field:
-            return self.mul(a, self.unit_inverse(b)), self.zero()
-        q = _gauss_quo(a, b)
-        r = self.sub(a, self.mul(q, b))
-        assert self.norm(r) < self.norm(b)
-        return q, r
+        return self.ops.one
 
     def elim_ops(self):
-        """The ElimOps table of this Euclidean ring."""
-        if self.kind == INTEGERS:
-            return _INT_OPS
-        if self.kind == RATIONALS:
-            return _RAT_OPS
-        if self.kind == GAUSSIAN:
-            return _GAUSS_OPS
-        if self.kind == PRIME_FIELD:
-            return _prime_field_ops(self.modulus)
-        raise UnsupportedRing(f"no Euclidean elimination over {self}")
+        """The RingOps table, for elimination over this Euclidean ring."""
+        if not self.is_euclidean:
+            raise UnsupportedRing(f"no Euclidean elimination over {self}")
+        return self.ops
 
     def exact_div(self, a, b):
         """Return a/b if b divides a exactly, else None."""
         if self.is_zero(b):
             return self.zero() if self.is_zero(a) else None
-        q, r = self.euclid_div(a, b)
-        return q if self.is_zero(r) else None
+        ops = self.elim_ops()
+        return ops.quo(a, b) if self.is_zero(ops.rem(a, b)) else None
 
 
 def _round_half_toward_zero(num, den):
@@ -245,60 +146,82 @@ def _round_half_toward_zero(num, den):
     return q
 
 
+def _gauss_canon(a):
+    re, im = a
+    return (int(re), int(im))
+
+
+def _gauss_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
 def _gauss_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_norm(a):
+    return a[0] * a[0] + a[1] * a[1]
 
 
 def _gauss_quo(a, b):
     """Euclidean quotient on Z[i]: each rational coordinate of a/b rounded
     to the nearest integer, ties toward zero, so the remainder has norm
     at most half of norm(b)."""
-    nb = b[0] * b[0] + b[1] * b[1]
+    nb = _gauss_norm(b)
     num = _gauss_mul(a, (b[0], -b[1]))
     return (_round_half_toward_zero(num[0], nb), _round_half_toward_zero(num[1], nb))
 
 
+_GAUSS_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
 def _gauss_unit(a):
     """The unit u with u*a in the quadrant {re > 0, im >= 0}, for a != 0."""
-    for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+    for u in _GAUSS_UNITS:
         d = _gauss_mul(a, u)
         if d[0] > 0 and d[1] >= 0:
             return u
     raise AssertionError("unreachable: Z[i] associate normalization")
 
 
-ZZ = RingDesc(INTEGERS)
-QQ = RingDesc(RATIONALS)
-ZI = RingDesc(GAUSSIAN)
-
-
 # ---------------------------------------------------------------------------
-# Elimination tables
+# Arithmetic tables
 
 
 @dataclass(frozen=True)
-class ElimOps:
-    """The element operations of Smith/Hermite elimination over one ring.
+class RingOps:
+    """The element operations of one ring, as plain functions.
 
-    normal_forms binds these once per call rather than going through the
-    per-element RingDesc dispatch.  Each entry computes the same value as
-    the RingDesc arithmetic it mirrors.  Matrices are lists of rows: row
-    updates return a new row, column updates change the rows in place.
-    norm, quo, rem and unit are only called with nonzero arguments
-    (for quo and rem: a nonzero divisor).
+    Every RingDesc builds its table once and binds the element entries
+    (canon, from_int, add, sub, neg, mul, is_zero, is_unit) onto itself;
+    normal_forms binds the Euclidean entries once per elimination.
+    Elements passed in are canonical, and so are the results.
+
+    The Euclidean entries are None over IntegersMod.  Matrices are lists
+    of rows: row updates return a new row, column updates change the
+    rows in place.  norm, quo, rem and unit are only called with nonzero
+    arguments (for quo and rem: a nonzero divisor).
     """
 
     zero: object
     one: object
     minus_one: object
-    norm: Callable  # a -> Euclidean norm
-    quo: Callable  # (a, b) -> q with norm(a - q*b) < norm(b)
-    rem: Callable  # (a, b) -> a - quo(a, b)*b
-    unit: Callable  # a -> u with u*a the canonical associate of a
-    sub_row: Callable  # (x, y, q) -> x - q*y
-    scale_row: Callable  # (x, u) -> u*x
-    sub_col: Callable  # (M, j, k, q): column j of M -= q * column k
-    scale_col: Callable  # (M, j, u): column j of M *= u
+    canon: Callable  # any representative -> canonical element
+    from_int: Callable  # Python int -> element
+    add: Callable
+    sub: Callable
+    neg: Callable
+    mul: Callable
+    is_zero: Callable
+    is_unit: Callable
+    norm: Callable = None  # a -> Euclidean norm
+    quo: Callable = None  # (a, b) -> q with norm(a - q*b) < norm(b)
+    rem: Callable = None  # (a, b) -> a - quo(a, b)*b
+    unit: Callable = None  # a -> u with u*a the canonical associate of a
+    sub_row: Callable = None  # (x, y, q) -> x - q*y
+    scale_row: Callable = None  # (x, u) -> u*x
+    sub_col: Callable = None  # (M, j, k, q): column j of M -= q * column k
+    scale_col: Callable = None  # (M, j, u): column j of M *= u
 
 
 # entries shared between rings: the plain-arithmetic updates (ZZ, QQ) and
@@ -359,77 +282,101 @@ def _gauss_scale_col(M, j, u):
 
 
 def _gauss_rem(a, b):
-    qb = _gauss_mul(_gauss_quo(a, b), b)
-    return (a[0] - qb[0], a[1] - qb[1])
+    r = _gauss_sub(a, _gauss_mul(_gauss_quo(a, b), b))
+    assert _gauss_norm(r) < _gauss_norm(b)
+    return r
 
 
-def _prime_field_ops(p):
-    def quo(a, b):
-        return a * pow(b, -1, p) % p
+def _residue_ops(n, field):
+    """The table of Z/n.  With field=True (n prime) it is GF(n), which
+    also has the Euclidean entries."""
+    euclid = {}
+    if field:
 
-    def unit(a):
-        return pow(a, -1, p)
+        def sub_col(M, j, k, q):
+            for row in M:
+                row[j] = (row[j] - q * row[k]) % n
 
-    def sub_row(x, y, q):
-        return [(a - q * b) % p for a, b in zip(x, y)]
+        def scale_col(M, j, u):
+            for row in M:
+                row[j] = u * row[j] % n
 
-    def scale_row(x, u):
-        return [u * a % p for a in x]
-
-    def sub_col(M, j, k, q):
-        for row in M:
-            row[j] = (row[j] - q * row[k]) % p
-
-    def scale_col(M, j, u):
-        for row in M:
-            row[j] = u * row[j] % p
-
-    return ElimOps(
+        euclid = dict(
+            norm=_field_norm,
+            quo=lambda a, b: a * pow(b, -1, n) % n,
+            rem=_field_rem,
+            unit=lambda a: pow(a, -1, n),
+            sub_row=lambda x, y, q: [(a - q * b) % n for a, b in zip(x, y)],
+            scale_row=lambda x, u: [u * a % n for a in x],
+            sub_col=sub_col,
+            scale_col=scale_col,
+        )
+    return RingOps(
         zero=0,
         one=1,
-        minus_one=p - 1,
-        norm=_field_norm,
-        quo=quo,
-        rem=_field_rem,
-        unit=unit,
-        sub_row=sub_row,
-        scale_row=scale_row,
-        sub_col=sub_col,
-        scale_col=scale_col,
+        minus_one=n - 1,
+        canon=lambda a: int(a) % n,
+        from_int=lambda k: k % n,
+        add=lambda a, b: (a + b) % n,
+        sub=lambda a, b: (a - b) % n,
+        neg=lambda a: -a % n,
+        mul=lambda a, b: a * b % n,
+        is_zero=partial(operator.eq, 0),
+        is_unit=lambda a: gcd(a, n) == 1,
+        **euclid,
     )
 
 
-_PLAIN_UPDATES = dict(
+_PLAIN_ARITHMETIC = dict(
+    add=operator.add,
+    sub=operator.sub,
+    neg=operator.neg,
+    mul=operator.mul,
+    is_zero=partial(operator.eq, 0),
     sub_row=_plain_sub_row,
     scale_row=_plain_scale_row,
     sub_col=_plain_sub_col,
     scale_col=_plain_scale_col,
 )
-_INT_OPS = ElimOps(
+_INT_OPS = RingOps(
     zero=0,
     one=1,
     minus_one=-1,
+    canon=int,
+    from_int=int,
+    is_unit=(1, -1).__contains__,
     norm=abs,
     quo=operator.floordiv,
     rem=operator.mod,
     unit=_sign,
-    **_PLAIN_UPDATES,
+    **_PLAIN_ARITHMETIC,
 )
-_RAT_OPS = ElimOps(
+_RAT_OPS = RingOps(
     zero=Fraction(0),
     one=Fraction(1),
     minus_one=Fraction(-1),
+    canon=Fraction,
+    from_int=Fraction,
+    is_unit=partial(operator.ne, 0),
     norm=_field_norm,
     quo=operator.truediv,
     rem=_field_rem,
     unit=lambda a: 1 / a,
-    **_PLAIN_UPDATES,
+    **_PLAIN_ARITHMETIC,
 )
-_GAUSS_OPS = ElimOps(
+_GAUSS_OPS = RingOps(
     zero=(0, 0),
     one=(1, 0),
     minus_one=(-1, 0),
-    norm=lambda a: a[0] * a[0] + a[1] * a[1],
+    canon=_gauss_canon,
+    from_int=lambda k: (k, 0),
+    add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    sub=_gauss_sub,
+    neg=lambda a: (-a[0], -a[1]),
+    mul=_gauss_mul,
+    is_zero=partial(operator.eq, (0, 0)),
+    is_unit=_GAUSS_UNITS.__contains__,
+    norm=_gauss_norm,
     quo=_gauss_quo,
     rem=_gauss_rem,
     unit=_gauss_unit,
@@ -438,6 +385,15 @@ _GAUSS_OPS = ElimOps(
     sub_col=_gauss_sub_col,
     scale_col=_gauss_scale_col,
 )
+_FIXED_OPS = {INTEGERS: _INT_OPS, RATIONALS: _RAT_OPS, GAUSSIAN: _GAUSS_OPS}
+
+# the RingOps entries that RingDesc binds onto each instance
+_ELEMENT_OPS = ("canon", "from_int", "add", "sub", "neg", "mul", "is_zero", "is_unit")
+
+
+ZZ = RingDesc(INTEGERS)
+QQ = RingDesc(RATIONALS)
+ZI = RingDesc(GAUSSIAN)
 
 
 def Fp(p):

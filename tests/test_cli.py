@@ -151,6 +151,19 @@ def test_descend_subcommand(tmp_path, capsys):
     assert out["equivalence_holds"]
 
 
+@pytest.mark.parametrize("where", ["ring", "map.source"])
+def test_modulus_on_integers_exit2(tmp_path, capsys, where):
+    doc = {
+        "ring": {"kind": "Integers"},
+        "map": {"source": {"kind": "Integers"}, "target": {"kind": "GaussianIntegers"}},
+        "modules": {"M": {"relations": [["2"]]}},
+    }
+    (doc["ring"] if where == "ring" else doc["map"]["source"])["modulus"] = "7"
+    code, out = run(capsys, ["descend", "--input", write(tmp_path, doc)])
+    assert code == 2
+    assert out["error"] == "InputError" and out["clause"].startswith(where + ":")
+
+
 def test_decider_disagreement_exit1(tmp_path, capsys, monkeypatch):
     """Fault injection: a corrupted split-search decider must surface as an
     internal error (exit 1), never as a result."""
@@ -189,6 +202,14 @@ def test_harness_env_seed(capsys, monkeypatch):
 def test_unknown_suite_exit2(capsys):
     code = run_command(["harness", "--trials", "1", "--suites", "nope"])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["IntegersMod(x)", "PrimeField()", "Integers(7)", "Reals"])
+def test_harness_bad_ring_name_exit2(capsys, name):
+    code, out = run(capsys, ["harness", "--trials", "1", "--rings", f"Integers,{name}"])
+    assert code == 2
+    assert out["error"] == "InputError"
+    assert out["clause"].startswith(f"ring {name!r}: ")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Harness determinism, instance generation, shrinking, fault injection."""
 
+import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -137,6 +139,22 @@ def test_report_contains_no_timing():
     report, _ = run_harness(HarnessConfig(seed=1, trials=0))
     text = report_json(report)
     assert "time" not in text and "elapsed" not in text
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_slowest_instances_go_to_stderr_only(capsys, parallelism):
+    report, code = run_harness(HarnessConfig(seed=3, trials=2, parallelism=parallelism))
+    # the report bytes of this configuration before the slowest instances
+    # were named on stderr
+    digest = hashlib.sha256(report_json(report).encode()).hexdigest()
+    assert code == 0
+    assert digest == "edb8f659d67b19342b4fe00e7b4e2f07268970bdd94f22a3b33169ef0ef13775"
+    pattern = r"^harness: slow instance (\w+) #(\d+) (\d+\.\d+)s$"
+    slow = re.findall(pattern, capsys.readouterr().err, re.M)
+    assert len(slow) == 5
+    assert all(name in SUITES and int(i) < 2 for name, i, _ in slow)
+    seconds = [float(s) for _, _, s in slow]
+    assert seconds == sorted(seconds, reverse=True)
 
 
 def test_domination_heavy_instance_passes_quickly():

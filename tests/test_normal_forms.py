@@ -94,7 +94,8 @@ def test_snf_gaussian():
     # det = 2(1+i); the chain (1+i) | 2 matches it up to a unit
     assert sf.invariant_factors == ((1, 1), (2, 0))
     prod = ZI.mul(*sf.invariant_factors)
-    assert ZI.normalize_assoc(prod)[0] == ZI.normalize_assoc((2, 2))[0]
+    assoc = lambda a: ZI.mul(ZI.ops.unit(a), a)  # the canonical associate
+    assert assoc(prod) == assoc((2, 2))
 
 
 def test_snf_rationals():

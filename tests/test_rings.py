@@ -1,11 +1,13 @@
 """Ring arithmetic, canonical forms, and Euclidean division."""
 
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fpmod.errors import DivisionByZero, InputError, PrimalityUndecided
+from fpmod.errors import InputError, PrimalityUndecided
 from fpmod.rings import _MR_LIMIT, ZZ, QQ, ZI, Fp, Zmod, RingDesc, _is_prime, ring_map
 
 
@@ -18,12 +20,19 @@ def test_ring_constructors_validate():
         Fp(4)
 
 
+@pytest.mark.parametrize("kind", ["Integers", "Rationals", "GaussianIntegers"])
+def test_modulus_rejected_where_none_belongs(kind):
+    assert RingDesc(kind, 0) == RingDesc(kind)
+    with pytest.raises(InputError, match="takes no modulus"):
+        RingDesc(kind, 7)
+
+
 def test_basic_arithmetic():
     assert ZZ.add(2, 3) == 5
     assert QQ.mul(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
     assert ZI.mul((0, 1), (0, 1)) == (-1, 0)  # i^2 = -1
     assert Zmod(6).add(4, 5) == 3
-    assert Fp(5).unit_inverse(3) == 2
+    assert Fp(5).ops.unit(3) == 2  # the associate unit of a field element is its inverse
 
 
 def test_units():
@@ -34,17 +43,14 @@ def test_units():
 
 
 def test_normalize_assoc():
-    a, u = ZZ.normalize_assoc(-5)
-    assert a == 5 and ZZ.mul(u, -5) == 5
-    a, u = ZI.normalize_assoc((0, 3))  # 3i ~ 3
-    assert a == (3, 0)
-    a, u = QQ.normalize_assoc(Fraction(-7, 2))
-    assert a == 1
+    assert ZZ.mul(ZZ.ops.unit(-5), -5) == 5
+    assert ZI.mul(ZI.ops.unit((0, 3)), (0, 3)) == (3, 0)  # 3i ~ 3
+    assert QQ.mul(QQ.ops.unit(Fraction(-7, 2)), Fraction(-7, 2)) == 1
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50).filter(lambda b: b != 0))
 def test_integer_euclid_div(a, b):
-    q, r = ZZ.euclid_div(a, b)
+    q, r = ZZ.ops.quo(a, b), ZZ.ops.rem(a, b)
     assert a == q * b + r
     assert abs(r) < abs(b)
 
@@ -54,14 +60,90 @@ def test_integer_euclid_div(a, b):
     st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(lambda b: b != (0, 0)),
 )
 def test_gaussian_euclid_div(a, b):
-    q, r = ZI.euclid_div(a, b)
+    q, r = ZI.ops.quo(a, b), ZI.ops.rem(a, b)
     assert ZI.add(ZI.mul(q, b), r) == a
-    assert ZI.norm(r) < ZI.norm(b)
+    assert ZI.ops.norm(r) < ZI.ops.norm(b)
 
 
-def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        ZZ.euclid_div(1, 0)
+# reference arithmetic: ints, Fractions, ints mod n, and Gaussian
+# integers as (re, im) pairs of ints
+def _mod_reference(n, units):
+    return dict(
+        draw=lambda rng: rng.randrange(n),
+        from_int=lambda k: k % n,
+        add=lambda a, b: (a + b) % n,
+        sub=lambda a, b: (a - b) % n,
+        neg=lambda a: -a % n,
+        mul=lambda a, b: a * b % n,
+        is_unit=lambda a: a in units,
+    )
+
+
+_NUMBER_REFERENCE = dict(
+    add=lambda a, b: a + b,
+    sub=lambda a, b: a - b,
+    neg=lambda a: -a,
+    mul=lambda a, b: a * b,
+)
+_REFERENCE = {
+    ZZ: dict(
+        draw=lambda rng: rng.randint(-30, 30),
+        from_int=lambda k: k,
+        is_unit=lambda a: abs(a) == 1,
+        **_NUMBER_REFERENCE,
+    ),
+    QQ: dict(
+        draw=lambda rng: Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+        from_int=Fraction,
+        is_unit=lambda a: a != 0,
+        **_NUMBER_REFERENCE,
+    ),
+    Fp(5): _mod_reference(5, {1, 2, 3, 4}),
+    ZI: dict(
+        draw=lambda rng: (rng.randint(-20, 20), rng.randint(-20, 20)),
+        from_int=lambda k: (k, 0),
+        add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        sub=lambda a, b: (a[0] - b[0], a[1] - b[1]),
+        neg=lambda a: (-a[0], -a[1]),
+        mul=lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+        is_unit=lambda a: a[0] * a[0] + a[1] * a[1] == 1,
+    ),
+    Zmod(6): _mod_reference(6, {1, 5}),
+}
+
+
+@pytest.mark.parametrize("ring", list(_REFERENCE), ids=str)
+def test_ring_ops_match_reference(ring):
+    ref, ops, rng = _REFERENCE[ring], ring.ops, random.Random(7)
+    zero, one, minus_one = (ref["from_int"](k) for k in (0, 1, -1))
+    assert (ring.zero(), ring.one(), ops.minus_one) == (zero, one, minus_one)
+    assert ring.is_euclidean == (ops.quo is not None) == (ring.kind != "IntegersMod")
+    for _ in range(300):
+        a, b, k = ref["draw"](rng), ref["draw"](rng), rng.randint(-40, 40)
+        assert ring.canon(a) == a and ring.from_int(k) == ref["from_int"](k)
+        for name in ("add", "sub", "mul"):
+            assert getattr(ring, name)(a, b) == ref[name](a, b), (name, a, b)
+        assert ring.neg(a) == ref["neg"](a)
+        assert ring.is_zero(a) == (a == zero) and ring.is_unit(a) == ref["is_unit"](a)
+        if not ring.is_euclidean or b == zero:
+            continue
+        u = ops.unit(b)  # u*b is the canonical associate of b
+        assert ring.is_unit(u) and ops.unit(ring.mul(u, b)) == one
+        q, r = ops.quo(a, b), ops.rem(a, b)
+        assert ref["add"](ref["mul"](q, b), r) == a, (a, b)
+        if ring.is_field:
+            assert r == zero
+        else:
+            assert r == zero or ops.norm(r) < ops.norm(b)
+        assert ring.exact_div(ref["mul"](a, b), b) == a
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, ZI, Fp(5), Zmod(6)], ids=str)
+def test_rings_pickle(ring):
+    copy = pickle.loads(pickle.dumps(ring))
+    fresh = RingDesc(ring.kind, ring.modulus)
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert copy.mul(copy.from_int(2), copy.from_int(3)) == ring.from_int(6)
 
 
 def test_exact_div():
