@@ -35,7 +35,6 @@ from .fpmodule import (
 )
 from .homtensor import is_projective
 from .purity import solve_section
-from .rings import INTEGERS_MOD, ZZ
 
 
 @dataclass(frozen=True)
@@ -244,18 +243,15 @@ def projective_cyclic_decomposition(P):
     """Cyclic internal decomposition read off the invariant-factor form."""
     if not is_projective(P):
         raise NotProjective(f"{P} is not projective")
-    ring = P.ring
+    cover = P.ring.cover
     sf = snf(P.lifted_rels())
-    work_ring = ZZ if ring.kind == INTEGERS_MOD else ring
     U = sf.U
-    Uinv = solve_linear(U, Mat.identity(work_ring, U.rows))
-    if ring.kind == INTEGERS_MOD:
-        Uinv = Uinv.map_entries(lambda e: e, new_ring=ring)
+    Uinv = solve_linear(U, Mat.identity(cover, U.rows)).map_entries(lambda e: e, new_ring=P.ring)
     parts = []
     k = len(sf.invariant_factors)
     for i in range(P.gens):
         d = sf.invariant_factors[i] if i < k else None
-        if d is not None and work_ring.is_unit(d):
+        if d is not None and cover.is_unit(d):
             continue  # generator is annihilated by a unit: zero summand
         parts.append(SubmoduleRep(P, Uinv.select_columns([i])))
     D = InternalDecomposition(P, tuple(parts))

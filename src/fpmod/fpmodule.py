@@ -2,10 +2,11 @@
 
 A module is the cokernel of its relation matrix (gens rows, one column
 per relation).  Morphisms carry a well-definedness witness; equality of
-morphisms is always taken modulo the target relations.  Over
-IntegersMod(n) every normal-form computation lifts to the integers with
-n*identity relations appended (normal_forms.lift), so the Euclidean
-kernels are the only elimination code in the package.
+morphisms is always taken modulo the target relations.  Every
+normal-form computation runs over the ring's Euclidean cover, with
+ideal*identity relations appended for a quotient such as Z/n
+(normal_forms.lift), so the Euclidean kernels are the only elimination
+code in the package.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatch, NotWellDefined, RingMismatch
 from .matrix import Mat
 from .normal_forms import kernel_matrix, lift, snf, solve_linear
-from .rings import INTEGERS_MOD
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,8 @@ class FpModule:
             raise RingMismatch(f"{self.rels.ring} relations in {self.ring} module")
 
     def lifted_rels(self):
-        """Relations over a Euclidean ring: the Z-lift with n*I appended for Z/n."""
-        if self.ring.kind == INTEGERS_MOD:
-            return lift(self.rels)
-        return self.rels
+        """Relations over the Euclidean cover of the ring (normal_forms.lift)."""
+        return lift(self.rels)
 
     def invariants(self):
         """(torsion_factors, free_rank): complete iso invariant over these rings."""
@@ -52,21 +50,13 @@ class FpModule:
 
 
 def _compute_invariants(M):
-    ring = M.ring
-    sf = snf(M.lifted_rels())
-    if ring.kind == INTEGERS_MOD:
-        n = ring.modulus
-        torsion = []
-        free = 0
-        for d in sf.invariant_factors:
-            if d == n:
-                free += 1
-            elif d != 1:
-                torsion.append(ring.canon(d))
-        # any lift factor is a divisor of n, so nothing else can occur
-        return tuple(torsion), free
-    torsion = tuple(d for d in sf.invariant_factors if not ring.is_unit(d))
-    free = M.gens - len(sf.invariant_factors)
+    # one Smith factor d per generator, each a summand cover/(d):
+    # free for d = ideal, zero for a unit, torsion otherwise
+    ring, cover = M.ring, M.ring.cover
+    factors = snf(M.lifted_rels()).invariant_factors
+    factors += (cover.zero(),) * (M.gens - len(factors))
+    free = sum(d == ring.ideal for d in factors)
+    torsion = tuple(ring.canon(d) for d in factors if d != ring.ideal and not cover.is_unit(d))
     return torsion, free
 
 
@@ -122,6 +112,7 @@ def mk_morphism(M, N, mat):
 
 def identity_morphism(M):
     return mk_morphism(M, M, Mat.identity(M.ring, M.gens))
+
 
 def zero_morphism(M, N):
     return mk_morphism(M, N, Mat.zeros(M.ring, N.gens, M.gens))

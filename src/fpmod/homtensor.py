@@ -20,11 +20,14 @@ from .matrix import Mat
 from .normal_forms import kernel_matrix, solve_linear
 from .fpmodule import (
     FpModule,
+    SubmoduleRep,
     free_module,
+    kernel,
     mk_module,
     mk_morphism,
+    sub_eq,
 )
-from .rings import INTEGERS_MOD, _is_prime
+from .rings import _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +196,10 @@ def is_flat(M):
     ring = M.ring
     if ring.is_field:
         return True
-    if ring.kind != INTEGERS_MOD:
+    if ring.cover is ring:
         torsion, _ = M.invariants()
         return not torsion
-    from .fpmodule import SubmoduleRep, kernel, sub_eq
-
-    n = ring.modulus
+    n = ring.ideal
     for d in _divisors(n):
         if d == 1 or d == n:
             continue
@@ -212,15 +213,18 @@ def is_flat(M):
 
 
 def _projective_by_invariants(M):
-    ring = M.ring
+    # R/(d) is projective over R = cover/(n) iff gcd(d, n/d) is a unit;
+    # over a domain n = 0, so no torsion is
+    ring, cover = M.ring, M.ring.cover
+    ops, n = cover.elim_ops(), ring.ideal
     torsion, _ = M.invariants()
-    if ring.kind != INTEGERS_MOD:
-        return not torsion
-    nfact = _prime_factorization(ring.modulus)
     for d in torsion:
-        for p, e in _prime_factorization(d).items():
-            if e != nfact[p]:
-                return False
+        d = cover.canon(d)  # the residue read in the cover, where it divides n
+        a, b = d, ops.quo(n, d)
+        while not cover.is_zero(b):
+            a, b = b, ops.rem(a, b)
+        if not cover.is_unit(a):
+            return False
     return True
 
 

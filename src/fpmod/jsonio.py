@@ -11,15 +11,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .matrix import Mat
-from .rings import (
-    GAUSSIAN,
-    INTEGERS,
-    INTEGERS_MOD,
-    PRIME_FIELD,
-    RATIONALS,
-    RingDesc,
-    ring_map,
-)
+from .rings import GAUSSIAN, RATIONALS, RingDesc, ring_map
 from .fpmodule import mk_module, mk_morphism
 from .limits import BACKWARD, FORWARD, Tower
 
@@ -29,13 +21,11 @@ from .limits import BACKWARD, FORWARD, Tower
 
 
 def encode_scalar(ring, a):
-    if ring.kind in (INTEGERS, PRIME_FIELD, INTEGERS_MOD):
-        return str(a)
     if ring.kind == RATIONALS:
         return {"num": str(a.numerator), "den": str(a.denominator)}
     if ring.kind == GAUSSIAN:
         return {"re": str(a[0]), "im": str(a[1])}
-    raise InputError(f"unknown ring kind {ring.kind!r}")
+    return str(a)
 
 
 def _parse_int(value, where):
@@ -48,8 +38,6 @@ def _parse_int(value, where):
 
 
 def decode_scalar(ring, value, where="scalar"):
-    if ring.kind in (INTEGERS, PRIME_FIELD, INTEGERS_MOD):
-        return ring.canon(_parse_int(value, where))
     if ring.kind == RATIONALS:
         if isinstance(value, dict) and set(value) == {"num", "den"}:
             den = _parse_int(value["den"], where + ".den")
@@ -61,7 +49,7 @@ def decode_scalar(ring, value, where="scalar"):
         if isinstance(value, dict) and set(value) == {"re", "im"}:
             return (_parse_int(value["re"], where + ".re"), _parse_int(value["im"], where + ".im"))
         return (_parse_int(value, where), 0)
-    raise InputError(f"unknown ring kind {ring.kind!r}")
+    return ring.canon(_parse_int(value, where))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +58,7 @@ def decode_scalar(ring, value, where="scalar"):
 
 def encode_ring(ring):
     doc = {"kind": ring.kind}
-    if ring.kind in (PRIME_FIELD, INTEGERS_MOD):
+    if ring.modulus:
         doc["modulus"] = str(ring.modulus)
     return doc
 

@@ -5,9 +5,10 @@ One Smith and one Hermite elimination serve every Euclidean ring
 Euclidean entries of the ring's one arithmetic table, its rings.RingOps
 (rings.RingDesc.elim_ops), bound once per call: norm, Euclidean quotient
 and remainder, associate unit, and whole-row and whole-column updates.
-IntegersMod(n) is handled by `lift`, the one place that turns a Z/n
-matrix into an integer one with n*identity columns appended;
-solve_linear, kernel_matrix and FpModule.lifted_rels all go through it.
+Any other ring is cover/(ideal) for its Euclidean cover (Z/n is Z/(n));
+`lift` is the one place that turns a matrix over it into one over the
+cover, with ideal*identity columns appended.  solve_linear,
+kernel_matrix and FpModule.lifted_rels all go through it.
 
 Linear systems are solved through the column Hermite form, whose
 transform stays small; the Smith form serves invariant factors,
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, UnsupportedRing
 from .matrix import Mat
-from .rings import INTEGERS_MOD, ZZ
 
 
 @dataclass(frozen=True)
@@ -196,22 +196,29 @@ def _hnf_rows(ops, a_rows, rows, cols):
 # public entry points
 
 
+def _rows_mat(ring, rows, cols):
+    """The Mat of an elimination's rows; rows or cols may be 0."""
+    return Mat.from_rows(ring, rows) if rows and cols else Mat(ring, len(rows), cols, ())
+
+
 def snf(A):
     """Smith normal form of A: U*A*V = D over a Euclidean ring."""
     ring = A.ring
     if not ring.is_euclidean:
         raise UnsupportedRing(f"snf needs a Euclidean ring, got {ring}")
     U, D, V = _snf_rows(ring.elim_ops(), A.to_rows(), A.rows, A.cols)
-    Um = Mat.from_rows(ring, U) if A.rows else Mat.identity(ring, 0)
-    Vm = Mat.from_rows(ring, V) if A.cols else Mat.identity(ring, 0)
-    Dm = Mat.from_rows(ring, D) if A.rows and A.cols else Mat.zeros(ring, A.rows, A.cols)
     inv = []
     for i in range(min(A.rows, A.cols)):
-        d = Dm.get(i, i)
+        d = D[i][i]
         if ring.is_zero(d):
             break
         inv.append(d)
-    return SmithForm(Um, Dm, Vm, tuple(inv))
+    return SmithForm(
+        _rows_mat(ring, U, A.rows),
+        _rows_mat(ring, D, A.cols),
+        _rows_mat(ring, V, A.cols),
+        tuple(inv),
+    )
 
 
 def hnf(A):
@@ -220,24 +227,25 @@ def hnf(A):
     if not ring.is_euclidean:
         raise UnsupportedRing(f"hnf needs a Euclidean ring, got {ring}")
     H, U = _hnf_rows(ring.elim_ops(), A.to_rows(), A.rows, A.cols)
-    Hm = Mat.from_rows(ring, H) if A.rows else Mat.zeros(ring, 0, A.cols)
-    Um = Mat.from_rows(ring, U) if A.cols else Mat.identity(ring, 0)
-    return Hm, Um
+    return _rows_mat(ring, H, A.cols), _rows_mat(ring, U, A.cols)
 
 
 def _as_ring(A, ring):
-    """A with its entries read in ring: Z/n residues in [0, n) as integers,
+    """A with its entries read in ring: residues in [0, n) as integers,
     or integers as residues."""
     return A.map_entries(lambda e: e, new_ring=ring)
 
 
 def lift(A):
-    """[A | n*I] over the integers for a Z/n matrix A.
+    """A itself over a Euclidean ring, else [A | ideal*I] over the cover.
 
-    Its column span over Z is the preimage of the column span of A, so a
-    Z/n problem becomes one over a Euclidean ring.
+    Its column span over the cover is the preimage of the column span of
+    A, so the problem becomes one over a Euclidean ring.
     """
-    return _as_ring(A, ZZ).hstack(Mat.identity(ZZ, A.rows).scale(A.ring.modulus))
+    ring, cover = A.ring, A.ring.cover
+    if cover is ring:
+        return A
+    return _as_ring(A, cover).hstack(Mat.identity(cover, A.rows).scale(ring.ideal))
 
 
 def solve_linear(A, B):
@@ -247,8 +255,8 @@ def solve_linear(A, B):
         raise DimensionMismatch(f"ring mismatch: {ring} vs {B.ring}")
     if A.rows != B.rows:
         raise DimensionMismatch(f"row mismatch: {A.rows} vs {B.rows}")
-    if ring.kind == INTEGERS_MOD:
-        X = solve_linear(lift(A), _as_ring(B, ZZ))
+    if ring.cover is not ring:
+        X = solve_linear(lift(A), _as_ring(B, ring.cover))
         if X is None:
             return None
         return _as_ring(X.select_rows(range(A.cols)), ring)
@@ -274,14 +282,13 @@ def solve_linear(A, B):
             if not ring.is_zero(h):
                 R[k] = [ring.sub(e, ring.mul(h, q)) for e, q in zip(R[k], y)]
         c += 1
-    Y = Mat.from_rows(ring, yrows) if A.cols else Mat.zeros(ring, 0, B.cols)
-    return W.mul(Y)
+    return W.mul(_rows_mat(ring, yrows, B.cols))
 
 
 def kernel_matrix(A):
     """Columns generating {x : A*x = 0} over the ring."""
     ring = A.ring
-    if ring.kind == INTEGERS_MOD:
+    if ring.cover is not ring:
         K = kernel_matrix(lift(A))
         return _as_ring(K.select_rows(range(A.cols)), ring).nonzero_columns()
     sf = snf(A)

@@ -24,6 +24,7 @@ from .errors import (
 from .matrix import Mat
 from .fpmodule import (
     Morphism,
+    cokernel,
     compose,
     free_module,
     identity_morphism,
@@ -34,6 +35,7 @@ from .fpmodule import (
     mor_eq,
 )
 from .homtensor import _solve_morphism, base_change_mor, tensor_mor
+from .pushout import pushout
 
 
 def solve_factor(src, tgt, A, B):
@@ -77,8 +79,6 @@ class PurityVerdict:
 def _probe_family(f):
     """Fixed, documented probe family: R and R/(d) for d among the torsion
     invariants of source, target and cokernel, plus the primes up to 7."""
-    from .fpmodule import cokernel
-
     ring = f.source.ring
     ds = []
     coker, _ = cokernel(f)
@@ -155,8 +155,6 @@ def dominates(f, g):
 
 def dominates_via_pushout(f, g):
     """Cross-oracle: g dominates f iff inr of their pushout is pure."""
-    from .pushout import pushout
-
     P = pushout(f, g)
     return find_retraction(P.inr) is not None
 

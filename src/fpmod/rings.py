@@ -10,9 +10,9 @@ RingDesc binds the element operations onto itself, so downstream code
 never needs to know the representation and no operation branches on the
 kind of ring.
 
-Z/n is not a Euclidean domain; every normal-form computation over it is
-done by lifting to the integers and appending n*identity relations (see
-fpmodule).
+Every ring is cover/(ideal) for a Euclidean ring, its cover: the four
+Euclidean rings are their own cover with ideal zero, and IntegersMod(n)
+is Z/(n).  The normal forms run over the cover (normal_forms.lift).
 """
 
 import operator
@@ -102,6 +102,18 @@ class RingDesc:
     def __reduce__(self):
         # the bound GF(p) and Z/n closures do not pickle; rebuild instead
         return RingDesc, (self.kind, self.modulus)
+
+    # cover and ideal are derived, not stored: a ring holding itself as
+    # its cover would be a reference cycle, freed only by the cyclic GC
+    @property
+    def cover(self):
+        """The Euclidean ring this one is a quotient of: ZZ for Z/n, else itself."""
+        return ZZ if self.kind == INTEGERS_MOD else self
+
+    @property
+    def ideal(self):
+        """The n of the cover with ring = cover/(n): zero for a Euclidean ring."""
+        return self.modulus if self.kind == INTEGERS_MOD else self.ops.zero
 
     @property
     def is_euclidean(self):

@@ -248,10 +248,18 @@ def test_large_prime_modulus_answers(tmp_path, capsys, cmd):
 
 @pytest.mark.parametrize("cmd", ["flattest", "projtest"])
 def test_unfactorable_modulus_exit2(tmp_path, capsys, cmd):
+    # flatness runs over the divisors of n, which needs its factorization;
+    # projectivity by invariants needs only gcds, and agrees with the
+    # split search
     doc = {
         "ring": {"kind": "IntegersMod", "modulus": str(100003 * 100019)},
         "modules": {"M": {"relations": [["2"]]}},
     }
+    start = time.perf_counter()
     code, out = run(capsys, [cmd, "--input", write(tmp_path, doc)])
-    assert code == 2
-    assert out["error"] == "FactorizationTooHard"
+    if cmd == "projtest":
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == {"projective": True}
+    else:
+        assert code == 2
+        assert out["error"] == "FactorizationTooHard"

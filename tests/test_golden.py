@@ -11,7 +11,9 @@ The morphism equations built on them are pinned the same way: over each
 of the five rings a seeded stream of small modules and morphisms goes
 through `hom_module`, `solve_factor`, `solve_section`, `find_retraction`
 and the split-search projectivity decider, and the digest covers every
-result, None included.
+result, None included.  So does a seeded stream of small modules over
+eight rings, Z/n among them, through `invariants`, `is_flat`,
+`is_projective` and `projective_cyclic_decomposition`.
 
 The ZZ stream is 2000 matrices up to 6x6 with entries in [-50, 50],
 drawn from random.Random(42) one shape and then one matrix at a time.
@@ -24,7 +26,8 @@ from fractions import Fraction
 import pytest
 
 from fpmod.fpmodule import Morphism, cokernel, compose, direct_sum, mk_module, zero_morphism
-from fpmod.homtensor import _projective_by_split_search, hom_module
+from fpmod.devissage import projective_cyclic_decomposition
+from fpmod.homtensor import _projective_by_split_search, hom_module, is_flat, is_projective
 from fpmod.matrix import Mat
 from fpmod.normal_forms import hnf, kernel_matrix, snf, solve_linear
 from fpmod.purity import find_retraction, solve_factor, solve_section
@@ -194,3 +197,48 @@ MORPHISM_RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(5)": Fp(5), "ZI": ZI, "Z/12": Zmod(12)
 @pytest.mark.parametrize("name", list(MORPHISM_RINGS))
 def test_morphism_equation_digest(name):
     assert _morphism_digest(MORPHISM_RINGS[name], 30) == GOLDEN_MORPHISMS[name]
+
+
+# ---------------------------------------------------------------------------
+# module invariants and the deciders built on them
+
+
+def _module_digest(ring, trials):
+    rng = random.Random(f"golden-modules:{ring}")
+    h = hashlib.sha256()
+    for _ in range(trials):
+        gens = rng.randint(1, 3)
+        M = mk_module(ring, _rand_mat(rng, ring, gens, rng.randint(0, gens + 1)))
+        projective = is_projective(M)
+        parts = projective_cyclic_decomposition(M).parts if projective else ()
+        h.update(repr([M.invariants(), is_flat(M), projective]).encode())
+        h.update(repr([_mat_key(p.gens_mat) for p in parts]).encode())
+    return h.hexdigest()
+
+
+GOLDEN_MODULES = {
+    "ZZ": "0b9b3e1dee5dee05cb1adaaf9af89ad8c3541c8dfa93cb344b202dbac74736e2",
+    "QQ": "0db3b016def4150458afdaba3ecaf94988f93c9f44dcbd7abcf13b0617c95cd9",
+    "GF(5)": "33b91c41a585aa15d2b5ce14321ca8d30daee9cae823b56b99d3aa47967111e4",
+    "ZI": "61498a8db4a7418e2b620161f5db921e068dea70376ea487a4d06972c4a30290",
+    "Z/6": "01d6a12e89c3799b247b58413d4505d7820bca4254637ca20605f956d9c9141f",
+    "Z/8": "0e13f9c6073fb197e0f311fcf114669e359178dadec3be8f0e2e8cd792a68636",
+    "Z/12": "b29fd9a26f4dfbba49aca334673b2420acd15fdba48368f0fc07fabf7bc3c25f",
+    "Z/30": "456f775ec484778c0e859a0349cf170c70181014c8b93f4decba2e9690f9ef09",
+}
+
+MODULE_RINGS = {
+    "ZZ": ZZ,
+    "QQ": QQ,
+    "GF(5)": Fp(5),
+    "ZI": ZI,
+    "Z/6": Zmod(6),
+    "Z/8": Zmod(8),
+    "Z/12": Zmod(12),
+    "Z/30": Zmod(30),
+}
+
+
+@pytest.mark.parametrize("name", list(MODULE_RINGS))
+def test_module_invariants_digest(name):
+    assert _module_digest(MODULE_RINGS[name], 200) == GOLDEN_MODULES[name]

@@ -188,6 +188,19 @@ def test_projective_four_generators_large_modulus(rows, projective):
     assert is_projective(M) is projective
 
 
+def test_projective_cyclic_matches_valuations_and_split_search():
+    # Z/d over Z/n is projective iff v_p(d) is 0 or v_p(n) for each p | n
+    for n in range(2, 400):
+        nfact = _brute_factorization(n)
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            M = cyc(Zmod(n), d)
+            expected = all(e == nfact[p] for p, e in _brute_factorization(d).items())
+            assert _projective_by_invariants(M) is expected, (n, d)
+            assert _projective_by_split_search(M) is expected, (n, d)
+
+
 def test_divisors_match_brute_force():
     for n in range(1, 501):
         assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]

@@ -117,7 +117,9 @@ def test_ring_ops_match_reference(ring):
     ref, ops, rng = _REFERENCE[ring], ring.ops, random.Random(7)
     zero, one, minus_one = (ref["from_int"](k) for k in (0, 1, -1))
     assert (ring.zero(), ring.one(), ops.minus_one) == (zero, one, minus_one)
-    assert ring.is_euclidean == (ops.quo is not None) == (ring.kind != "IntegersMod")
+    euclidean = ring.kind != "IntegersMod"
+    assert ring.is_euclidean == (ops.quo is not None) == euclidean == (ring.cover is ring)
+    assert (ring.cover, ring.ideal) == ((ring, ring.zero()) if euclidean else (ZZ, ring.modulus))
     for _ in range(300):
         a, b, k = ref["draw"](rng), ref["draw"](rng), rng.randint(-40, 40)
         assert ring.canon(a) == a and ring.from_int(k) == ref["from_int"](k)
@@ -144,7 +146,7 @@ def test_rings_pickle(ring):
     fresh = RingDesc(ring.kind, ring.modulus)
     assert copy == fresh and hash(copy) == hash(fresh)
     assert copy.mul(copy.from_int(2), copy.from_int(3)) == ring.from_int(6)
-
+    assert copy.cover == ring.cover and (copy.cover is copy) == (ring.cover is ring)
 
 def test_exact_div():
     assert ZZ.exact_div(6, 3) == 2
