@@ -306,8 +306,10 @@ def run_command(argv):
             for r in rings:
                 _harness.parse_ring_name(r)  # validate early
             suites = None
-            if args.suites:
+            if args.suites is not None:
                 suites = [s for s in args.suites.split(",") if s]
+                if not suites:
+                    raise InputError("no suites named")
                 unknown = [s for s in suites if s not in _harness.SUITES]
                 if unknown:
                     raise InputError(f"unknown suites: {unknown}")

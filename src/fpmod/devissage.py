@@ -5,7 +5,7 @@ Ordinal stages are truncated to finite length; the limit-continuity
 clause is vacuous here and recorded as such by the validator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidFiltration,
@@ -42,17 +42,26 @@ class KaplanskyFiltration:
     ambient: FpModule
     stages: tuple  # SubmoduleRep, length L+1
     complements: tuple  # SubmoduleRep, length L
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class InternalDecomposition:
     ambient: FpModule
     parts: tuple  # SubmoduleRep
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def validate_filtration(F):
     """(ok, first_violated_clause).  Limit continuity is vacuous at finite
-    length and reported as satisfied."""
+    length and reported as satisfied.  The verdict is computed once per
+    filtration."""
+    if "valid" not in F._cache:
+        F._cache["valid"] = _check_filtration(F)
+    return F._cache["valid"]
+
+
+def _check_filtration(F):
     L = len(F.complements)
     if len(F.stages) != L + 1:
         return False, "stage/complement length mismatch"
@@ -75,6 +84,14 @@ def validate_filtration(F):
 
 
 def validate_decomposition(D):
+    """True iff the parts form an internal direct sum of the ambient
+    module.  The verdict is computed once per decomposition."""
+    if "valid" not in D._cache:
+        D._cache["valid"] = _check_decomposition(D)
+    return D._cache["valid"]
+
+
+def _check_decomposition(D):
     total = zero_submodule(D.ambient)
     for p in D.parts:
         total = sub_sum(total, p)

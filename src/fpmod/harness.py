@@ -55,6 +55,8 @@ class HarnessConfig:
             raise FpmodError("max_entry must be in 1..10")
         if self.parallelism < 1:
             raise FpmodError("parallelism must be >= 1")
+        if not self.rings:
+            raise FpmodError("rings must name at least one ring")
 
 
 def parse_ring_name(name):

@@ -10,9 +10,10 @@ Any other ring is cover/(ideal) for its Euclidean cover (Z/n is Z/(n));
 cover, with ideal*identity columns appended.  solve_linear,
 kernel_matrix and FpModule.lifted_rels all go through it.
 
-Linear systems are solved through the column Hermite form, whose
-transform stays small; the Smith form serves invariant factors,
-unimodularity and kernels.
+Linear systems are solved through the column Hermite form A*W = H,
+whose transform stays small: solve_linear forward-substitutes on the
+elimination's rows of H and forms X from W's pivot columns only.  The
+Smith form serves invariant factors, unimodularity and kernels.
 """
 
 from dataclasses import dataclass
@@ -231,9 +232,13 @@ def hnf(A):
 
 
 def _as_ring(A, ring):
-    """A with its entries read in ring: residues in [0, n) as integers,
-    or integers as residues."""
+    """A over the cover with its entries read in ring: integers as residues."""
     return A.map_entries(lambda e: e, new_ring=ring)
+
+
+def _over_cover(A):
+    """A read over its cover: a residue in [0, n) is already a canonical integer."""
+    return Mat(A.ring.cover, A.rows, A.cols, A.entries)
 
 
 def lift(A):
@@ -245,7 +250,7 @@ def lift(A):
     ring, cover = A.ring, A.ring.cover
     if cover is ring:
         return A
-    return _as_ring(A, cover).hstack(Mat.identity(cover, A.rows).scale(ring.ideal))
+    return _over_cover(A).hstack(Mat.identity(cover, A.rows).scale(ring.ideal))
 
 
 def solve_linear(A, B):
@@ -256,33 +261,47 @@ def solve_linear(A, B):
     if A.rows != B.rows:
         raise DimensionMismatch(f"row mismatch: {A.rows} vs {B.rows}")
     if ring.cover is not ring:
-        X = solve_linear(lift(A), _as_ring(B, ring.cover))
+        X = solve_linear(lift(A), _over_cover(B))
         if X is None:
             return None
         return _as_ring(X.select_rows(range(A.cols)), ring)
     # A*W = H with H in column echelon form: column c is zero above its
     # pivot row, and a row that holds no pivot is zero from the next
-    # pivot column on.  Forward substitution solves H*Y = B; X = W*Y.
-    H, W = hnf(A)
+    # pivot column on.  Forward substitution solves H*Y = B; Y is zero
+    # off its first rank rows, so X = W*Y reads only W's pivot columns.
+    ops = ring.elim_ops()
+    z, quo, rem, add, sub, mul = ops.zero, ops.quo, ops.rem, ops.add, ops.sub, ops.mul
+    H, W = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
     R = B.to_rows()  # residual B - H*Y over the rows not yet reached
-    yrows = [[ring.zero()] * B.cols for _ in range(A.cols)]
-    c = 0
-    for i in range(A.rows):
-        p = H.get(i, c) if c < A.cols else ring.zero()
-        if ring.is_zero(p):
-            if not all(ring.is_zero(e) for e in R[i]):
+    Y = []  # row c of Y, for the pivot column c
+    for i, Hi in enumerate(H):
+        c = len(Y)
+        p = Hi[c] if c < A.cols else z
+        if p == z:
+            if any(e != z for e in R[i]):
                 return None
             continue
-        y = [ring.exact_div(e, p) for e in R[i]]
-        if any(q is None for q in y):
-            return None
-        yrows[c] = y
+        y = []
+        for e in R[i]:
+            if rem(e, p) != z:
+                return None
+            y.append(quo(e, p))
+        Y.append(y)
         for k in range(i + 1, A.rows):
-            h = H.get(k, c)
-            if not ring.is_zero(h):
-                R[k] = [ring.sub(e, ring.mul(h, q)) for e, q in zip(R[k], y)]
-        c += 1
-    return W.mul(_rows_mat(ring, yrows, B.cols))
+            h = H[k][c]
+            if h != z:
+                R[k] = [sub(e, mul(h, q)) for e, q in zip(R[k], y)]
+    rank = len(Y)
+    Ycols = list(zip(*Y)) if Y else [()] * B.cols
+    out = []
+    for Wi in W:
+        Wp = Wi[:rank]
+        for col in Ycols:
+            acc = z
+            for w, y in zip(Wp, col):
+                acc = add(acc, mul(w, y))
+            out.append(acc)
+    return Mat(ring, A.cols, B.cols, tuple(out))
 
 
 def kernel_matrix(A):

@@ -212,6 +212,21 @@ def test_harness_bad_ring_name_exit2(capsys, name):
     assert out["clause"].startswith(f"ring {name!r}: ")
 
 
+@pytest.mark.parametrize("rings", [",", ""])
+def test_harness_empty_rings_exit2(capsys, rings):
+    code, out = run(capsys, ["harness", "--trials", "1", "--rings", rings])
+    assert code == 2
+    assert out["error"] == "FpmodError"
+    assert "ring" in out["clause"]
+
+
+@pytest.mark.parametrize("suites", [",", ""])
+def test_harness_empty_suites_exit2(capsys, suites):
+    code, out = run(capsys, ["harness", "--trials", "1", "--suites", suites])
+    assert code == 2
+    assert out == {"error": "InputError", "clause": "no suites named"}
+
+
 @pytest.mark.parametrize(
     "modulus, code, error",
     [

@@ -3,6 +3,7 @@ decompositions of projectives."""
 
 import pytest
 
+from fpmod import devissage
 from fpmod.errors import InvalidFiltration, NotIdempotent, NotInternal, NotProjective
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
@@ -65,6 +66,61 @@ def test_filtration_monotone_violation():
     F = KaplanskyFiltration(M, (bot, e1, e2, top), (e1, e2, top))
     ok, clause = validate_filtration(F)
     assert not ok and clause.startswith("monotone")
+
+
+def _count_sub_sum(monkeypatch):
+    calls = []
+    real = devissage.sub_sum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(devissage, "sub_sum", counting)
+    return calls
+
+
+def test_decomposition_validated_once(monkeypatch):
+    calls = _count_sub_sum(monkeypatch)
+    M = mk_module(ZZ, Mat.from_ints(ZZ, [[2, 0], [0, 3]]))
+    p1 = SubmoduleRep(M, Mat.from_ints(ZZ, [[1], [0]]))
+    p2 = SubmoduleRep(M, Mat.from_ints(ZZ, [[0], [1]]))
+    D = InternalDecomposition(M, (p1, p2))
+    assert validate_decomposition(D)
+    once = len(calls)
+    assert once > 0
+    assert validate_decomposition(D)
+    assert len(calls) == once
+    # an equal decomposition is a new object and is checked on its own
+    assert validate_decomposition(InternalDecomposition(M, (p1, p2)))
+    assert len(calls) == 2 * once
+
+
+def test_non_internal_decomposition_raises_every_time(monkeypatch):
+    calls = _count_sub_sum(monkeypatch)
+    M = free_module(ZZ, 2)
+    e1 = SubmoduleRep(M, Mat.from_ints(ZZ, [[1], [0]]))
+    D = InternalDecomposition(M, (e1, e1))
+    for _ in range(2):
+        with pytest.raises(NotInternal):
+            decomposition_to_filtration(D)
+    assert len(calls) == 2  # the failed sum check, run once
+
+
+def test_invalid_filtration_raises_every_time(monkeypatch):
+    M = mk_module(ZZ, Mat.from_ints(ZZ, [[4]]))
+    bot = SubmoduleRep(M, Mat.zeros(ZZ, 1, 0))
+    half = SubmoduleRep(M, Mat.from_ints(ZZ, [[2]]))
+    top = SubmoduleRep(M, Mat.from_ints(ZZ, [[1]]))
+    F = KaplanskyFiltration(M, (bot, half, top), (half, top))
+    calls = _count_sub_sum(monkeypatch)
+    with pytest.raises(InvalidFiltration, match="disjoint"):
+        filtration_to_decomposition(F)
+    once = len(calls)
+    with pytest.raises(InvalidFiltration, match="disjoint"):
+        filtration_to_decomposition(F)
+    assert validate_filtration(F) == (False, "complement not disjoint at 1")
+    assert len(calls) == once == 1  # the span check at stage 0, run once
 
 
 def test_relative_complement():

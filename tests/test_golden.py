@@ -5,7 +5,9 @@ shrunk failures) depends on their exact output, not just on its
 correctness, so the transforms must stay bit-identical across rewrites
 of the elimination.  Each stream is a seeded sequence of matrices; the
 digest covers every (U, D, V) and (H, U) it produces, and for Z/12 the
-results of `solve_linear` and `kernel_matrix` as well.
+results of `solve_linear` and `kernel_matrix` as well.  A seeded stream
+of linear systems A*X = B over six rings pins `solve_linear` alone,
+unsolvable systems (None) and empty shapes included.
 
 The morphism equations built on them are pinned the same way: over each
 of the five rings a seeded stream of small modules and morphisms goes
@@ -114,6 +116,48 @@ def test_zmod_solve_and_kernel_digest():
         h.update(repr(None if X is None else _mat_key(X)).encode())
         h.update(repr(_mat_key(kernel_matrix(A))).encode())
     assert h.hexdigest() == GOLDEN_ZMOD12
+
+
+# ---------------------------------------------------------------------------
+# linear systems
+
+
+def _solve_digest(ring, trials):
+    """solve_linear on a seeded stream of (A, B): half of the B are A*X0,
+    the rest random and mostly inconsistent; every third A has a repeated
+    column; 0-row and 0-column A and 0-column B all occur."""
+    rng = random.Random(f"golden-solve:{ring}")
+    h = hashlib.sha256()
+    for t in range(trials):
+        n, m, k = rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 3)
+        A = _rand_mat(rng, ring, n, m)
+        if t % 3 == 0 and n and m:
+            A = A.hstack(A.select_columns([0]))
+        B = A.mul(_rand_mat(rng, ring, A.cols, k)) if t % 2 else _rand_mat(rng, ring, n, k)
+        X = solve_linear(A, B)
+        if X is None:
+            assert t % 2 == 0, f"consistent system reported unsolvable over {ring}"
+        else:
+            assert A.mul(X) == B
+        h.update(repr(None if X is None else _mat_key(X)).encode())
+    return h.hexdigest()
+
+
+GOLDEN_SOLVE = {
+    "ZZ": "80f85047bc80f75b3318d6701a6d3b842870b47960e0e7eec17a03122403014a",
+    "QQ": "6b0944210f97f5e856e5a921fd233141bfcbbc586d7343f980329f87bc311da9",
+    "GF(5)": "923b42f7f01d36c02bf56bed643cabcce63cd4b87251f0d66f0580a42cffdc28",
+    "ZI": "1a5b9dbcfd4d77ae4013b05d7681599e8e3297fd21cd7349362c8f7cb1a98795",
+    "Z/12": "2ed830d26ced4dc456824234a045cf1b2125c4eaa642ce9e733397573417fda5",
+    "Z/8": "9e505f4d3bcaf1c54bb8e7af6ea12fbbbe822978bb96b0eea7638945319ce198",
+}
+
+SOLVE_RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(5)": Fp(5), "ZI": ZI, "Z/12": Zmod(12), "Z/8": Zmod(8)}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_RINGS))
+def test_solve_linear_digest(name):
+    assert _solve_digest(SOLVE_RINGS[name], 300) == GOLDEN_SOLVE[name]
 
 
 # ---------------------------------------------------------------------------

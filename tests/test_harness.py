@@ -27,6 +27,8 @@ def test_config_validation():
         HarnessConfig(seed=1, trials=1, max_gens=9)
     with pytest.raises(FpmodError):
         HarnessConfig(seed=1, trials=1, max_entry=99)
+    with pytest.raises(FpmodError):
+        HarnessConfig(seed=1, trials=1, rings=())
 
 
 def test_derived_seeds_are_stable_and_distinct():
