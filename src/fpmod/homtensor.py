@@ -68,6 +68,8 @@ def well_defined_block(src, tgt):
     ring = src.ring
     RS, RT = src.rels, tgt.rels
     left = RS.transpose().kron(Mat.identity(ring, tgt.gens))
+    if not RT.cols:
+        return left
     return left.hstack(Mat.identity(ring, RS.cols).kron(RT).neg())
 
 
@@ -82,12 +84,20 @@ def _solve_morphism(src, tgt, L, R, C, mod):
     ring = src.ring
     m = R.cols
     n_y = tgt.rels.cols * src.rels.cols
-    wd = well_defined_block(src, tgt)
-    wd = wd.hstack(Mat.zeros(ring, wd.rows, mod.cols * m))
-    eq = R.transpose().kron(L).hstack(Mat.zeros(ring, L.rows * m, n_y))
-    eq = eq.hstack(Mat.identity(ring, m).kron(mod).neg())
-    rhs = Mat.zeros(ring, wd.rows, 1).vstack(C.vec())
-    sol = solve_linear(wd.vstack(eq), rhs)
+    # blocks of zero width or height are left out, not stacked
+    eq = R.transpose().kron(L)
+    if n_y:
+        eq = eq.hstack(Mat.zeros(ring, eq.rows, n_y))
+    if mod.cols:
+        eq = eq.hstack(Mat.identity(ring, m).kron(mod).neg())
+    rhs = C.vec()
+    if src.rels.cols and tgt.gens:
+        wd = well_defined_block(src, tgt)
+        if mod.cols:
+            wd = wd.hstack(Mat.zeros(ring, wd.rows, mod.cols * m))
+        eq = wd.vstack(eq)
+        rhs = Mat.zeros(ring, wd.rows, 1).vstack(rhs)
+    sol = solve_linear(eq, rhs)
     if sol is None:
         return None
     return Mat.unvec(ring, sol.select_rows(range(tgt.gens * src.gens)), tgt.gens, src.gens)

@@ -98,31 +98,31 @@ class Mat:
 
     def add(self, other):
         self._check_same_shape(other)
-        r = self.ring
+        add = self.ring.add
         return Mat(
             self.ring,
             self.rows,
             self.cols,
-            tuple(r.add(a, b) for a, b in zip(self.entries, other.entries)),
+            tuple(add(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def sub(self, other):
         self._check_same_shape(other)
-        r = self.ring
+        sub = self.ring.sub
         return Mat(
             self.ring,
             self.rows,
             self.cols,
-            tuple(r.sub(a, b) for a, b in zip(self.entries, other.entries)),
+            tuple(sub(a, b) for a, b in zip(self.entries, other.entries)),
         )
 
     def neg(self):
-        r = self.ring
-        return Mat(self.ring, self.rows, self.cols, tuple(r.neg(a) for a in self.entries))
+        neg = self.ring.neg
+        return Mat(self.ring, self.rows, self.cols, tuple(neg(a) for a in self.entries))
 
     def scale(self, c):
-        r = self.ring
-        return Mat(self.ring, self.rows, self.cols, tuple(r.mul(c, a) for a in self.entries))
+        mul = self.ring.mul
+        return Mat(self.ring, self.rows, self.cols, tuple(mul(c, a) for a in self.entries))
 
     def mul(self, other):
         if self.ring != other.ring:
@@ -132,15 +132,18 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         r = self.ring
+        z, add, mul = r.zero(), r.add, r.mul
+        a, n, m = self.entries, self.cols, other.cols
+        bcols = [other.entries[j::m] for j in range(m)]
         out = []
         for i in range(self.rows):
-            arow = self.entries[i * self.cols : (i + 1) * self.cols]
-            for j in range(other.cols):
-                acc = r.zero()
-                for k in range(self.cols):
-                    acc = r.add(acc, r.mul(arow[k], other.entries[k * other.cols + j]))
+            arow = a[i * n : (i + 1) * n]
+            for bcol in bcols:
+                acc = z
+                for x, y in zip(arow, bcol):
+                    acc = add(acc, mul(x, y))
                 out.append(acc)
-        return Mat(self.ring, self.rows, other.cols, tuple(out))
+        return Mat(self.ring, self.rows, m, tuple(out))
 
     def transpose(self):
         return Mat(
@@ -182,11 +185,11 @@ class Mat:
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         mul = self.ring.mul
+        brows = other.to_rows()
         out = []
         for i in range(self.rows):
             arow = self.row(i)
-            for k in range(other.rows):
-                brow = other.row(k)
+            for brow in brows:
                 out.extend(mul(a, b) for a in arow for b in brow)
         return Mat(self.ring, self.rows * other.rows, self.cols * other.cols, tuple(out))
 

@@ -10,10 +10,14 @@ Any other ring is cover/(ideal) for its Euclidean cover (Z/n is Z/(n));
 cover, with ideal*identity columns appended.  solve_linear,
 kernel_matrix and FpModule.lifted_rels all go through it.
 
-Linear systems are solved through the column Hermite form A*W = H,
-whose transform stays small: solve_linear forward-substitutes on the
-elimination's rows of H and forms X from W's pivot columns only.  The
-Smith form serves invariant factors, unimodularity and kernels.
+The Hermite elimination returns H together with the log of its column
+operations, not the transform: A*U = H where U is the product of the
+logged elementary operations.  solve_linear forward-substitutes
+H*Y = B on the elimination's rows, then forms X = U*[Y; 0] by replaying
+the log last step first as row operations on [Y; 0], B.cols entries a
+step; an unsolvable system never replays it.  hnf builds U itself by
+replaying the log forward on the identity.  The Smith form serves
+invariant factors, unimodularity and kernels.
 """
 
 from dataclasses import dataclass
@@ -138,9 +142,19 @@ def _snf_rows(ops, a_rows, rows, cols):
 
 
 def _hnf_rows(ops, a_rows, rows, cols):
+    """Column Hermite form of the rows of A: returns (H, log) with
+    A*U = H, where U is the product of the column operations in log.
+
+    A logged step is (j, k, q) for "column j -= q*column k",
+    (j, k, None) for swapping columns j and k, or (j, None, u) for
+    scaling column j by the unit u.  U is never built here:
+    _transform replays the log forward on the identity, and
+    _apply_transform replays it last step first as row operations.
+    """
     z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
     H = [row[:] for row in a_rows]
-    U = _identity_rows(ops, cols)
+    log = []
+    step = log.append
     c = 0
     for r in range(rows):
         if c >= cols:
@@ -169,17 +183,18 @@ def _hnf_rows(ops, a_rows, rows, cols):
                     continue
                 q = quo(Hr[j], p)
                 sub_col(Hl, j, j0, q)
-                sub_col(U, j, j0, q)
+                step((j, j0, q))
                 if Hr[j] != z:
                     others = True
             if others:
                 continue
-            _swap_cols(Hl, c, j0)
-            _swap_cols(U, c, j0)
+            if j0 != c:
+                _swap_cols(Hl, c, j0)
+                step((c, j0, None))
             u = ops.unit(Hr[c])
             if u != ops.one:
                 ops.scale_col(Hl, c, u)
-                ops.scale_col(U, c, u)
+                step((c, None, u))
             # reduce the entries left of the pivot
             p = Hr[c]
             for j in range(c):
@@ -187,10 +202,42 @@ def _hnf_rows(ops, a_rows, rows, cols):
                     q = quo(Hr[j], p)
                     if q != z:
                         sub_col(Hl, j, c, q)
-                        sub_col(U, j, c, q)
+                        step((j, c, q))
             c += 1
             break
-    return H, U
+    return H, log
+
+
+def _transform(ops, log, n):
+    """The rows of U = E_1*...*E_m for the logged steps E_t: the
+    identity with each step applied as a column operation, in order."""
+    sub_col, scale_col = ops.sub_col, ops.scale_col
+    U = _identity_rows(ops, n)
+    for j, k, q in log:
+        if k is None:
+            scale_col(U, j, q)
+        elif q is None:
+            _swap_cols(U, j, k)
+        else:
+            sub_col(U, j, k, q)
+    return U
+
+
+def _apply_transform(ops, log, Z):
+    """Z <- U*Z for the U of log, without building U.
+
+    U*Z = E_1*(...*(E_m*Z)), and E_t*Z is E_t's column operation
+    turned into a row operation on Z: "column j -= q*column k" becomes
+    "row k -= q*row j".  Rows are replaced, never changed in place.
+    """
+    sub_row, scale_row = ops.sub_row, ops.scale_row
+    for j, k, q in reversed(log):
+        if k is None:
+            Z[j] = scale_row(Z[j], q)
+        elif q is None:
+            Z[j], Z[k] = Z[k], Z[j]
+        else:
+            Z[k] = sub_row(Z[k], Z[j], q)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +274,9 @@ def hnf(A):
     ring = A.ring
     if not ring.is_euclidean:
         raise UnsupportedRing(f"hnf needs a Euclidean ring, got {ring}")
-    H, U = _hnf_rows(ring.elim_ops(), A.to_rows(), A.rows, A.cols)
-    return _rows_mat(ring, H, A.cols), _rows_mat(ring, U, A.cols)
+    ops = ring.elim_ops()
+    H, log = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
+    return _rows_mat(ring, H, A.cols), _rows_mat(ring, _transform(ops, log, A.cols), A.cols)
 
 
 def _as_ring(A, ring):
@@ -265,13 +313,13 @@ def solve_linear(A, B):
         if X is None:
             return None
         return _as_ring(X.select_rows(range(A.cols)), ring)
-    # A*W = H with H in column echelon form: column c is zero above its
+    # A*U = H with H in column echelon form: column c is zero above its
     # pivot row, and a row that holds no pivot is zero from the next
     # pivot column on.  Forward substitution solves H*Y = B; Y is zero
-    # off its first rank rows, so X = W*Y reads only W's pivot columns.
+    # off its first rank rows, and X = U*[Y; 0] replays the log on it.
     ops = ring.elim_ops()
-    z, quo, rem, add, sub, mul = ops.zero, ops.quo, ops.rem, ops.add, ops.sub, ops.mul
-    H, W = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
+    z, quo, rem, sub, mul = ops.zero, ops.quo, ops.rem, ops.sub, ops.mul
+    H, log = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
     R = B.to_rows()  # residual B - H*Y over the rows not yet reached
     Y = []  # row c of Y, for the pivot column c
     for i, Hi in enumerate(H):
@@ -291,17 +339,9 @@ def solve_linear(A, B):
             h = H[k][c]
             if h != z:
                 R[k] = [sub(e, mul(h, q)) for e, q in zip(R[k], y)]
-    rank = len(Y)
-    Ycols = list(zip(*Y)) if Y else [()] * B.cols
-    out = []
-    for Wi in W:
-        Wp = Wi[:rank]
-        for col in Ycols:
-            acc = z
-            for w, y in zip(Wp, col):
-                acc = add(acc, mul(w, y))
-            out.append(acc)
-    return Mat(ring, A.cols, B.cols, tuple(out))
+    Y += [[z] * B.cols] * (A.cols - len(Y))
+    _apply_transform(ops, log, Y)
+    return Mat(ring, A.cols, B.cols, tuple(e for row in Y for e in row))
 
 
 def kernel_matrix(A):

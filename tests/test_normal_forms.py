@@ -12,9 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fpmod.normal_forms as nf
 from fpmod.errors import UnsupportedRing
 from fpmod.matrix import Mat
-from fpmod.normal_forms import hnf, is_unimodular, kernel_matrix, snf, solve_linear
+from fpmod.normal_forms import hnf, is_unimodular, kernel_matrix, lift, snf, solve_linear
 from fpmod.rings import INTEGERS_MOD, ZZ, QQ, ZI, Fp, Zmod
 
 
@@ -258,3 +259,101 @@ def test_hnf_is_column_echelon(ring):
         assert is_unimodular(U)
         pivots = _echelon_pivot_rows(H)
         assert len(pivots) == snf(A).rank
+
+
+# ---------------------------------------------------------------------------
+# solving by replaying the Hermite elimination's log, checked against the
+# transform that hnf builds
+
+
+def _hermite_solve_reference(A, B):
+    """X = W[:, :rank]*Y from the public hnf, or None if H*Y = B has no solution.
+
+    A*W = H is in column echelon form, so H*Y = B is solved by forward
+    substitution over the pivot rows and then checked on every row.  Over
+    Z/n the system is lifted to its cover first.
+    """
+    ring = A.ring
+    cover = ring.cover
+    L = lift(A)
+    Bc = Mat(cover, B.rows, B.cols, B.entries)
+    H, W = hnf(L)
+    pivots = _echelon_pivot_rows(H)
+    Y = []
+    for c, i in enumerate(pivots):
+        y = []
+        for j in range(B.cols):
+            e = Bc.get(i, j)
+            for t in range(c):
+                e = cover.sub(e, cover.mul(H.get(i, t), Y[t][j]))
+            q = cover.exact_div(e, H.get(i, c))
+            if q is None:
+                return None
+            y.append(q)
+        Y.append(y)
+    rank = len(Y)
+    Ym = Mat(cover, rank, B.cols, tuple(e for row in Y for e in row))
+    if H.select_columns(range(rank)).mul(Ym) != Bc:
+        return None
+    X = W.select_columns(range(rank)).mul(Ym)
+    return X.select_rows(range(A.cols)).map_entries(lambda e: e, new_ring=ring)
+
+
+@pytest.mark.parametrize("ring", SOLVE_RINGS, ids=str)
+def test_solve_linear_matches_hermite_transform(ring):
+    rng = random.Random(f"replay:{ring}")
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        r, c, m = rng.randint(1, 8), rng.randint(1, 12), rng.randint(1, 3)
+        rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.4:
+            # repeated columns make the rank deficient
+            rows = [row + [row[0], row[-1]] for row in rows]
+            c += 2
+        A = Mat.from_rows(ring, rows)
+        if rng.random() < 0.5:
+            X0 = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(m)] for _ in range(c)])
+            B = A.mul(X0)
+        else:
+            B = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(m)] for _ in range(r)])
+        ref = _hermite_solve_reference(A, B)
+        X = solve_linear(A, B)
+        assert X == ref
+        seen[X is not None] += 1
+        if X is not None:
+            assert A.mul(X) == B
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_solve_linear_builds_no_transform(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_linear built a transform")
+
+    monkeypatch.setattr(nf, "_identity_rows", refuse)
+    monkeypatch.setattr(nf, "_transform", refuse)
+    for ring in SOLVE_RINGS:
+        rng = random.Random(f"no-transform:{ring}")
+        for _ in range(10):
+            A = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(6)] for _ in range(4)])
+            X0 = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(2)] for _ in range(6)])
+            X = solve_linear(A, A.mul(X0))
+            assert X is not None and A.mul(X) == A.mul(X0)
+    with pytest.raises(AssertionError, match="built a transform"):
+        hnf(Mat.from_ints(ZZ, [[2, 3]]))
+
+
+@pytest.mark.parametrize("ring", SOLVE_RINGS, ids=str)
+def test_hnf_transform_is_unimodular(ring):
+    """hnf's U, replayed from the elimination's log, has A*U = H and unit determinant."""
+    rng = random.Random(f"hnf-log:{ring}")
+    for _ in range(40):
+        r, c = rng.randint(0, 6), rng.randint(0, 8)
+        A = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)])
+        if not r:
+            A = Mat.zeros(ring, 0, c)
+        A = lift(A)
+        H, U = hnf(A)
+        assert (U.rows, U.cols) == (A.cols, A.cols)
+        assert A.mul(U) == H
+        assert is_unimodular(U)
+        _echelon_pivot_rows(H)
