@@ -16,7 +16,7 @@ logged elementary operations.  solve_linear forward-substitutes
 H*Y = B on the elimination's rows, then forms X = U*[Y; 0] by replaying
 the log last step first as row operations on [Y; 0], B.cols entries a
 step; an unsolvable system never replays it.  hnf builds U itself by
-replaying the log forward on the identity.  The Smith form serves
+the same replay on the identity.  The Smith form serves
 invariant factors, unimodularity and kernels.
 """
 
@@ -148,8 +148,7 @@ def _hnf_rows(ops, a_rows, rows, cols):
     A logged step is (j, k, q) for "column j -= q*column k",
     (j, k, None) for swapping columns j and k, or (j, None, u) for
     scaling column j by the unit u.  U is never built here:
-    _transform replays the log forward on the identity, and
-    _apply_transform replays it last step first as row operations.
+    _apply_transform replays the log last step first as row operations.
     """
     z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
     H = [row[:] for row in a_rows]
@@ -208,21 +207,6 @@ def _hnf_rows(ops, a_rows, rows, cols):
     return H, log
 
 
-def _transform(ops, log, n):
-    """The rows of U = E_1*...*E_m for the logged steps E_t: the
-    identity with each step applied as a column operation, in order."""
-    sub_col, scale_col = ops.sub_col, ops.scale_col
-    U = _identity_rows(ops, n)
-    for j, k, q in log:
-        if k is None:
-            scale_col(U, j, q)
-        elif q is None:
-            _swap_cols(U, j, k)
-        else:
-            sub_col(U, j, k, q)
-    return U
-
-
 def _apply_transform(ops, log, Z):
     """Z <- U*Z for the U of log, without building U.
 
@@ -276,7 +260,9 @@ def hnf(A):
         raise UnsupportedRing(f"hnf needs a Euclidean ring, got {ring}")
     ops = ring.elim_ops()
     H, log = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
-    return _rows_mat(ring, H, A.cols), _rows_mat(ring, _transform(ops, log, A.cols), A.cols)
+    U = _identity_rows(ops, A.cols)
+    _apply_transform(ops, log, U)  # U*I
+    return _rows_mat(ring, H, A.cols), _rows_mat(ring, U, A.cols)
 
 
 def _as_ring(A, ring):

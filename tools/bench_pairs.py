@@ -2,7 +2,8 @@
 
 Each side is a separate checkout of the repository.  For every pair the
 same `perfbench/run.py --trace 0` command runs once in each checkout on
-the same seed, and the side that runs first alternates from pair to pair.
+the same seed, for the run_seconds that BENCHMARK.json sets, and the side
+that runs first alternates from pair to pair.
 Every run's result line (the last stdout line of run.py) is kept, and each
 end-to-end metric is summarized over the pairs: both sides' medians and
 ranges, the change/parent ratio of the medians, the parent's
@@ -17,7 +18,7 @@ A plan is WORKLOAD:PAIRS:FIRST_SEED (seeds FIRST_SEED, FIRST_SEED+1, ...).
 change was written; they are kept and summarized apart.  The file is
 rewritten after every run, so an interrupted series keeps what it measured,
 and an existing file is extended: its runs stay and new pairs are numbered
-after them.
+after them.  The file records the parent checkout's HEAD as the parent.
 """
 
 import argparse
@@ -89,22 +90,24 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--plan", action="append", default=[], help="WORKLOAD:PAIRS:FIRST_SEED")
     ap.add_argument("--confirm", action="append", default=[], help="WORKLOAD:PAIRS:FIRST_SEED")
-    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--tag", required=True)
     ap.add_argument("--describe", default="", help="one line on what the change does")
-    ap.add_argument("--parent-rev", default="")
     ap.add_argument("--machine", default="")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
     else:
-        doc = new_doc(args)
+        parent_rev = subprocess.run(["git", "-C", dirs["parent"], "rev-parse", "--short", "HEAD"],
+                                    capture_output=True, text=True, check=True).stdout.strip()
+        doc = new_doc(args, parent_rev, seconds)
 
     def save():
         for section in ("workloads", "confirmation"):
@@ -119,16 +122,16 @@ def main(argv=None):
             workload, pairs, first = plan.split(":")
             entry = doc[section].setdefault(workload, {"runs": [], "summary": {}})
             run_pairs(dirs, workload, range(int(first), int(first) + int(pairs)),
-                      args.seconds, entry["runs"], save)
+                      seconds, entry["runs"], save)
 
 
-def new_doc(args):
+def new_doc(args, parent_rev, seconds):
     return {
         "tag": args.tag,
         "change": args.describe,
-        "parent": args.parent_rev,
+        "parent": parent_rev,
         "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                   f"--seconds {args.seconds} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "protocol": "alternating parent/change pairs on one seed each, the first side "
                     "alternating from pair to pair; each side runs from its own checkout",
         "machine": args.machine or f"{platform.machine()}, {os.cpu_count()} cpus, "
