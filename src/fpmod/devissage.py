@@ -18,14 +18,14 @@ from .matrix import Mat
 from .normal_forms import snf, solve_linear
 from .fpmodule import (
     FpModule,
+    Morphism,
     SubmoduleRep,
     compose,
     full_submodule,
     image,
-    mk_module,
-    mk_morphism,
     mor_eq,
     present_submodule,
+    quotient_by,
     sub_eq,
     sub_intersection,
     sub_is_zero,
@@ -142,8 +142,7 @@ def relative_complement(amb, A, B):
     if AinB is None:
         raise PreconditionViolation("A is not contained in B")
     AinB = AinB.select_rows(range(B.gens_mat.cols))
-    Q = mk_module(amb.ring, Bmod.rels.hstack(AinB))
-    proj = mk_morphism(Bmod, Q, Mat.identity(amb.ring, Bmod.gens))
+    _, proj = quotient_by(SubmoduleRep(Bmod, AinB))
     s = solve_section(proj)
     if s is None:
         return None
@@ -188,7 +187,13 @@ def summand_devissage(D, e):
         raise NotIdempotent("e o e differs from e")
     if not validate_decomposition(D):
         raise NotInternal("input decomposition is not internal")
-    one_minus_e = mk_morphism(amb, amb, Mat.identity(amb.ring, amb.gens).sub(e.mat))
+    # (I - e) * rels = rels * (I - w_e)
+    one_minus_e = Morphism(
+        amb,
+        amb,
+        Mat.identity(amb.ring, amb.gens).sub(e.mat),
+        Mat.identity(amb.ring, amb.rels.cols).sub(e.witness),
+    )
     N = image(e)
     K = image(one_minus_e)
     parts = list(D.parts)

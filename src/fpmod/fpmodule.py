@@ -7,11 +7,21 @@ normal-form computation runs over the ring's Euclidean cover, with
 ideal*identity relations appended for a quotient such as Z/n
 (normal_forms.lift), so the Euclidean kernels are the only elimination
 code in the package.
+
+A morphism whose matrix comes from outside goes through mk_morphism,
+which solves for the witness: the CLI, the harness decoders,
+HomModule.decode and the identification checks of
+pushout_base_change_check.  Every morphism the package builds itself
+gets its witness by construction, in closed form: compose,
+identity_morphism, zero_morphism, quotient_by (and so cokernel),
+present_submodule (and so kernel) and direct_sum here; pushout,
+base_change_mor, tensor_mor, is_flat, summand_devissage and the
+morphism-equation solver (homtensor._solve_morphism) elsewhere.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch, NotWellDefined, RingMismatch
+from .errors import DimensionMismatch, NotWellDefined, RingMismatch, SourceMismatch
 from .matrix import Mat
 from .normal_forms import kernel_matrix, lift, snf, solve_linear
 
@@ -86,6 +96,15 @@ def is_iso(M, N):
 
 @dataclass(frozen=True)
 class Morphism:
+    """A map source -> target by the matrix mat on generators.
+
+    witness certifies that mat is well defined: it is a
+    target.rels.cols x source.rels.cols matrix w with
+    target.rels * w = mat * source.rels.  The constructor does not check
+    it; mk_morphism solves for it, the package's own constructors give
+    it in closed form.
+    """
+
     source: FpModule
     target: FpModule
     mat: Mat
@@ -111,11 +130,12 @@ def mk_morphism(M, N, mat):
 
 
 def identity_morphism(M):
-    return mk_morphism(M, M, Mat.identity(M.ring, M.gens))
+    return Morphism(M, M, Mat.identity(M.ring, M.gens), Mat.identity(M.ring, M.rels.cols))
 
 
 def zero_morphism(M, N):
-    return mk_morphism(M, N, Mat.zeros(M.ring, N.gens, M.gens))
+    ring = M.ring
+    return Morphism(M, N, Mat.zeros(ring, N.gens, M.gens), Mat.zeros(ring, N.rels.cols, M.rels.cols))
 
 
 def mor_eq(f, g):
@@ -126,10 +146,10 @@ def mor_eq(f, g):
 
 
 def compose(g, f):
-    """g after f."""
-    if f.target.gens != g.source.gens:
-        raise DimensionMismatch("composition shape mismatch")
-    return mk_morphism(f.source, g.target, g.mat.mul(f.mat))
+    """g after f, with witness w_g * w_f."""
+    if f.target != g.source:
+        raise SourceMismatch("composition needs f's target to be g's source")
+    return Morphism(f.source, g.target, g.mat.mul(f.mat), g.witness.mul(f.witness))
 
 
 def mor_power(f, k):
@@ -212,7 +232,8 @@ def present_submodule(ambient, gens_mat):
     K = kernel_matrix(big)
     krels = K.select_rows(range(gens_mat.cols))
     kmod = FpModule(ambient.ring, gens_mat.cols, krels)
-    incl = mk_morphism(kmod, ambient, gens_mat)
+    # gens_mat * krels = -ambient.rels * (the kernel's rows under the relations)
+    incl = Morphism(kmod, ambient, gens_mat, K.select_rows(range(gens_mat.cols, K.rows)).neg())
     return kmod, incl
 
 
@@ -229,9 +250,7 @@ def kernel(f):
 
 
 def cokernel(f):
-    C = mk_module(f.target.ring, f.target.rels.hstack(f.mat))
-    proj = mk_morphism(f.target, C, Mat.identity(f.target.ring, f.target.gens))
-    return C, proj
+    return quotient_by(image(f))
 
 
 def image(f):
@@ -248,23 +267,35 @@ def is_injective(f):
     return K.is_zero_module()
 
 
+def block_injections(ring, a, b):
+    """[I_a; 0] and [0; I_b]: the injections of R^a and R^b into R^(a+b)."""
+    return (
+        Mat.identity(ring, a).vstack(Mat.zeros(ring, b, a)),
+        Mat.zeros(ring, a, b).vstack(Mat.identity(ring, b)),
+    )
+
+
 def direct_sum(M, N):
+    """(S, inj1, inj2, proj1, proj2); on relations too every map is a
+    block identity, which is its witness."""
     ring = M.ring
     if ring != N.ring:
         raise RingMismatch(f"{ring} vs {N.ring}")
     S = mk_module(ring, Mat.block_diag(M.rels, N.rels))
-    zmn = Mat.zeros(ring, M.gens, N.gens)
-    znm = Mat.zeros(ring, N.gens, M.gens)
-    im, iN = Mat.identity(ring, M.gens), Mat.identity(ring, N.gens)
-    inj1 = mk_morphism(M, S, im.vstack(znm))
-    inj2 = mk_morphism(N, S, zmn.vstack(iN))
-    proj1 = mk_morphism(S, M, im.hstack(zmn))
-    proj2 = mk_morphism(S, N, znm.hstack(iN))
+    i1, i2 = block_injections(ring, M.gens, N.gens)
+    w1, w2 = block_injections(ring, M.rels.cols, N.rels.cols)
+    inj1 = Morphism(M, S, i1, w1)
+    inj2 = Morphism(N, S, i2, w2)
+    proj1 = Morphism(S, M, i1.transpose(), w1.transpose())
+    proj2 = Morphism(S, N, i2.transpose(), w2.transpose())
     return S, inj1, inj2, proj1, proj2
 
 
 def quotient_by(sub):
+    """(Q, proj) with Q = ambient / span(sub): the relations gain sub's
+    generators, and proj is the identity on generators, witness [I; 0]."""
     amb = sub.ambient
-    Q = mk_module(amb.ring, amb.rels.hstack(sub.gens_mat))
-    proj = mk_morphism(amb, Q, Mat.identity(amb.ring, amb.gens))
-    return Q, proj
+    ring = amb.ring
+    Q = mk_module(ring, amb.rels.hstack(sub.gens_mat))
+    w = Mat.identity(ring, amb.rels.cols).vstack(Mat.zeros(ring, sub.gens_mat.cols, amb.rels.cols))
+    return Q, Morphism(amb, Q, Mat.identity(ring, amb.gens), w)

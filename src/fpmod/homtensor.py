@@ -20,6 +20,7 @@ from .matrix import Mat
 from .normal_forms import kernel_matrix, solve_linear
 from .fpmodule import (
     FpModule,
+    Morphism,
     SubmoduleRep,
     free_module,
     kernel,
@@ -74,12 +75,13 @@ def well_defined_block(src, tgt):
 
 
 def _solve_morphism(src, tgt, L, R, C, mod):
-    """Matrix of a morphism X : src -> tgt with L*X*R = C modulo the
-    columns of mod, or None if there is none.
+    """A morphism X : src -> tgt with L*X*R = C modulo the columns of
+    mod, or None if there is none.
 
     The unknowns are vec X, the well-definedness witness Y and the
     coefficients Z of L*X*R - mod*Z = C, in that order; vec(L*X*R) is
-    (R^T (x) L) vec X and vec(mod*Z) is (I (x) mod) vec Z.
+    (R^T (x) L) vec X and vec(mod*Z) is (I (x) mod) vec Z.  The solution
+    holds Y, so the morphism carries it as its witness.
     """
     ring = src.ring
     m = R.cols
@@ -100,7 +102,10 @@ def _solve_morphism(src, tgt, L, R, C, mod):
     sol = solve_linear(eq, rhs)
     if sol is None:
         return None
-    return Mat.unvec(ring, sol.select_rows(range(tgt.gens * src.gens)), tgt.gens, src.gens)
+    n_x = tgt.gens * src.gens
+    X = Mat.unvec(ring, sol.select_rows(range(n_x)), tgt.gens, src.gens)
+    Y = Mat.unvec(ring, sol.select_rows(range(n_x, n_x + n_y)), tgt.rels.cols, src.rels.cols)
+    return Morphism(src, tgt, X, Y)
 
 
 def hom_module(M, N):
@@ -130,9 +135,12 @@ def tensor(M, N):
 
 
 def tensor_mor(f, g):
+    """f (x) g, with witness blockdiag(w_f (x) g.mat, f.mat (x) w_g) on the
+    two relation blocks of the tensor presentation."""
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
-    return mk_morphism(src, tgt, f.mat.kron(g.mat))
+    w = Mat.block_diag(f.witness.kron(g.mat), f.mat.kron(g.witness))
+    return Morphism(src, tgt, f.mat.kron(g.mat), w)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,12 @@ def base_change(phi, M):
 
 
 def base_change_mor(phi, f):
-    return mk_morphism(
-        base_change(phi, f.source), base_change(phi, f.target), apply_ring_map(phi, f.mat)
+    """The ring map carries the witness along with the matrix."""
+    return Morphism(
+        base_change(phi, f.source),
+        base_change(phi, f.target),
+        apply_ring_map(phi, f.mat),
+        apply_ring_map(phi, f.witness),
     )
 
 
@@ -213,7 +225,10 @@ def is_flat(M):
     for d in _divisors(n):
         if d == 1 or d == n:
             continue
-        mult_d = mk_morphism(M, M, Mat.identity(ring, M.gens).scale(ring.from_int(d)))
+        dr = ring.from_int(d)
+        mult_d = Morphism(
+            M, M, Mat.identity(ring, M.gens).scale(dr), Mat.identity(ring, M.rels.cols).scale(dr)
+        )
         _, incl = kernel(mult_d)
         ann = SubmoduleRep(M, incl.mat)
         scaled = SubmoduleRep(M, Mat.identity(ring, M.gens).scale(ring.from_int(n // d)))

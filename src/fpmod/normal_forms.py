@@ -16,8 +16,14 @@ logged elementary operations.  solve_linear forward-substitutes
 H*Y = B on the elimination's rows, then forms X = U*[Y; 0] by replaying
 the log last step first as row operations on [Y; 0], B.cols entries a
 step; an unsolvable system never replays it.  hnf builds U itself by
-the same replay on the identity.  The Smith form serves
-invariant factors, unimodularity and kernels.
+the same replay on the identity.
+
+The Smith elimination works the same way on its rows: it builds D and
+V in place and logs its row operations in place of U, with U*A*V = D
+for the U of the log.  The public snf builds U by replaying the log on
+the identity.  kernel_matrix reads only V's columns past the rank, and
+is_unimodular only D's diagonal, so neither builds U or calls snf;
+invariant factors come from snf.
 """
 
 from dataclasses import dataclass
@@ -47,12 +53,13 @@ def _identity_rows(ops, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _diagonalize_from(ops, D, U, V, t0, rows, cols):
-    """Diagonalize D[t0:, t0:], keeping U*A*V = D.
+def _diagonalize_from(ops, D, V, step, t0, rows, cols):
+    """Diagonalize D[t0:, t0:], keeping U*A*V = D for the U of the log.
 
     Each step moves a nonzero of least norm to (t, t), then clears row
     and column t by Euclidean steps, swapping a smaller remainder in as
-    the new pivot until both are clear.
+    the new pivot until both are clear.  Row operations go to the log
+    through step, column operations are applied to V.
     """
     z, norm, quo = ops.zero, ops.norm, ops.quo
     sub_row, sub_col = ops.sub_row, ops.sub_col
@@ -71,14 +78,14 @@ def _diagonalize_from(ops, D, U, V, t0, rows, cols):
             return
         if bi != t:
             D[bi], D[t] = D[t], D[bi]
-            U[bi], U[t] = U[t], U[bi]
+            step((bi, t, None))
         if bj != t:
             _swap_cols(D, bj, t)
             _swap_cols(V, bj, t)
         restart = True
         while restart:
             restart = False
-            Dt, Ut = D[t], U[t]
+            Dt = D[t]
             p = Dt[t]
             for i in range(t + 1, rows):
                 Di = D[i]
@@ -86,10 +93,10 @@ def _diagonalize_from(ops, D, U, V, t0, rows, cols):
                     q = quo(Di[t], p)
                     if q != z:
                         D[i] = Di = sub_row(Di, Dt, q)
-                        U[i] = sub_row(U[i], Ut, q)
+                        step((i, t, q))
                     if Di[t] != z:
                         D[i], D[t] = Dt, Di
-                        U[i], U[t] = Ut, U[i]
+                        step((i, t, None))
                         restart = True
                         break
             if restart:
@@ -113,12 +120,21 @@ def _swap_cols(M, j, k):
 
 
 def _snf_rows(ops, a_rows, rows, cols):
+    """Smith form of the rows of A: returns (D, V, log) with
+    U*A*V = D, where U is the product of the row operations in log.
+
+    A logged step is (i, t, q) for "row i -= q*row t", (i, t, None) for
+    swapping rows i and t, or (i, None, u) for scaling row i by the unit
+    u, in the order they were applied.  V is built in place; U is never
+    built here: _replay_row_log applies the log to the identity.
+    """
     D = [row[:] for row in a_rows]
-    U = _identity_rows(ops, rows)
     V = _identity_rows(ops, cols)
+    log = []
+    step = log.append
     z = ops.zero
     k = min(rows, cols)
-    _diagonalize_from(ops, D, U, V, 0, rows, cols)
+    _diagonalize_from(ops, D, V, step, 0, rows, cols)
     while True:
         # the first d_i that does not divide a nonzero d_{i+1}
         for bad in range(k - 1):
@@ -130,15 +146,15 @@ def _snf_rows(ops, a_rows, rows, cols):
         # fold column bad+1 into column bad, then re-diagonalize the tail
         ops.sub_col(D, bad, bad + 1, ops.minus_one)
         ops.sub_col(V, bad, bad + 1, ops.minus_one)
-        _diagonalize_from(ops, D, U, V, bad, rows, cols)
+        _diagonalize_from(ops, D, V, step, bad, rows, cols)
     for i in range(k):
         d = D[i][i]
         if d != z:
             u = ops.unit(d)
             if u != ops.one:
                 D[i] = ops.scale_row(D[i], u)
-                U[i] = ops.scale_row(U[i], u)
-    return U, D, V
+                step((i, None, u))
+    return D, V, log
 
 
 def _hnf_rows(ops, a_rows, rows, cols):
@@ -224,6 +240,22 @@ def _apply_transform(ops, log, Z):
             Z[k] = sub_row(Z[k], Z[j], q)
 
 
+def _replay_row_log(ops, log, Z):
+    """Z <- U*Z for the U of a Smith row log, without building U.
+
+    U = E_m*...*E_1, so the logged row operations are applied to Z in
+    the order they were taken.  Rows are replaced, never changed in place.
+    """
+    sub_row, scale_row = ops.sub_row, ops.scale_row
+    for i, t, q in log:
+        if t is None:
+            Z[i] = scale_row(Z[i], q)
+        elif q is None:
+            Z[i], Z[t] = Z[t], Z[i]
+        else:
+            Z[i] = sub_row(Z[i], Z[t], q)
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -233,23 +265,31 @@ def _rows_mat(ring, rows, cols):
     return Mat.from_rows(ring, rows) if rows and cols else Mat(ring, len(rows), cols, ())
 
 
-def snf(A):
-    """Smith normal form of A: U*A*V = D over a Euclidean ring."""
+def _smith(A):
+    """(ops, D, V, log, rank) of _snf_rows on A, over a Euclidean ring;
+    the rank counts D's nonzero diagonal entries, which come first."""
     ring = A.ring
     if not ring.is_euclidean:
         raise UnsupportedRing(f"snf needs a Euclidean ring, got {ring}")
-    U, D, V = _snf_rows(ring.elim_ops(), A.to_rows(), A.rows, A.cols)
-    inv = []
-    for i in range(min(A.rows, A.cols)):
-        d = D[i][i]
-        if ring.is_zero(d):
-            break
-        inv.append(d)
+    ops = ring.elim_ops()
+    D, V, log = _snf_rows(ops, A.to_rows(), A.rows, A.cols)
+    k = 0
+    while k < min(A.rows, A.cols) and D[k][k] != ops.zero:
+        k += 1
+    return ops, D, V, log, k
+
+
+def snf(A):
+    """Smith normal form of A: U*A*V = D over a Euclidean ring."""
+    ring = A.ring
+    ops, D, V, log, k = _smith(A)
+    U = _identity_rows(ops, A.rows)
+    _replay_row_log(ops, log, U)  # U*I
     return SmithForm(
         _rows_mat(ring, U, A.rows),
         _rows_mat(ring, D, A.cols),
         _rows_mat(ring, V, A.cols),
-        tuple(inv),
+        tuple(D[i][i] for i in range(k)),
     )
 
 
@@ -331,21 +371,20 @@ def solve_linear(A, B):
 
 
 def kernel_matrix(A):
-    """Columns generating {x : A*x = 0} over the ring."""
+    """Columns generating {x : A*x = 0} over the ring: the last columns
+    of the Smith V, past the rank, read straight from the elimination."""
     ring = A.ring
     if ring.cover is not ring:
         K = kernel_matrix(lift(A))
         return _as_ring(K.select_rows(range(A.cols)), ring).nonzero_columns()
-    sf = snf(A)
-    k = len(sf.invariant_factors)
-    return sf.V.select_columns(range(k, A.cols))
+    _, _, V, _, k = _smith(A)
+    return Mat(ring, A.cols, A.cols - k, tuple(e for row in V for e in row[k:]))
 
 
 def is_unimodular(A):
-    """True iff A is square with unit determinant (checked via SNF)."""
+    """True iff A is square with unit determinant: its Smith diagonal
+    holds units only."""
     if A.rows != A.cols:
         return False
-    sf = snf(A)
-    if len(sf.invariant_factors) != A.rows:
-        return False
-    return all(A.ring.is_unit(d) for d in sf.invariant_factors)
+    _, D, _, _, _ = _smith(A)
+    return all(A.ring.is_unit(D[i][i]) for i in range(A.rows))

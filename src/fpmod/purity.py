@@ -31,7 +31,6 @@ from .fpmodule import (
     is_zero_elem,
     kernel,
     mk_module,
-    mk_morphism,
     mor_eq,
 )
 from .homtensor import _solve_morphism, base_change_mor, tensor_mor
@@ -44,8 +43,7 @@ def solve_factor(src, tgt, A, B):
     A maps into src coordinates (src.gens x m), B into tgt coordinates
     (tgt.gens x m).  Returns None if no factor exists.
     """
-    H = _solve_morphism(src, tgt, Mat.identity(src.ring, tgt.gens), A, B, tgt.rels)
-    return None if H is None else mk_morphism(src, tgt, H)
+    return _solve_morphism(src, tgt, Mat.identity(src.ring, tgt.gens), A, B, tgt.rels)
 
 
 def solve_section(p):
@@ -56,10 +54,9 @@ def solve_section(p):
     """
     Q = p.target
     IQ = Mat.identity(Q.ring, Q.gens)
-    S = _solve_morphism(Q, p.source, p.mat, IQ, IQ, Q.rels)
-    if S is None:
+    s = _solve_morphism(Q, p.source, p.mat, IQ, IQ, Q.rels)
+    if s is None:
         return None
-    s = mk_morphism(Q, p.source, S)
     assert mor_eq(compose(p, s), identity_morphism(Q))
     return s
 

@@ -2,7 +2,10 @@
 
 The pushout of f : A -> B and g : A -> C is (B (+) C) / span{(f(a), -g(a))}
 with one mixed relation column per generator of A.  Generators of the
-pushout are B's followed by C's.
+pushout are B's followed by C's, and so are its relations before the
+mixed ones, so inl and inr are block identities on generators and on
+relations alike: the relation blocks, followed by zero rows for the mixed
+columns, are their witnesses.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,7 @@ from .matrix import Mat
 from .fpmodule import (
     FpModule,
     Morphism,
+    block_injections,
     compose,
     identity_morphism,
     is_iso,
@@ -39,10 +43,10 @@ def pushout(f, g):
     mixed = f.mat.vstack(g.mat.neg())
     rels = Mat.block_diag(B.rels, C.rels).hstack(mixed)
     obj = mk_module(ring, rels)
-    iB = Mat.identity(ring, B.gens).vstack(Mat.zeros(ring, C.gens, B.gens))
-    iC = Mat.zeros(ring, B.gens, C.gens).vstack(Mat.identity(ring, C.gens))
-    inl = mk_morphism(B, obj, iB)
-    inr = mk_morphism(C, obj, iC)
+    iB, iC = block_injections(ring, B.gens, C.gens)
+    wB, wC = block_injections(ring, B.rels.cols, C.rels.cols)
+    inl = Morphism(B, obj, iB, wB.vstack(Mat.zeros(ring, mixed.cols, B.rels.cols)))
+    inr = Morphism(C, obj, iC, wC.vstack(Mat.zeros(ring, mixed.cols, C.rels.cols)))
     return PushoutData(f, g, obj, inl, inr)
 
 

@@ -1,0 +1,68 @@
+"""tools/bench_pairs.py: the per-workload summary of alternating pairs."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"throughput_per_s": "higher", "latency_p50_ms": "lower"}
+
+
+def _run(pair, side, tput, p50, attempted=100, failed=0, correct=True):
+    metrics = {"throughput_per_s": {"value": tput}, "latency_p50_ms": {"value": p50}}
+    result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
+    return {"pair": pair, "side": side, "seed": pair, "ran_first": True, "result": result}
+
+
+def test_wins_count_by_direction():
+    runs = [
+        _run(0, "parent", 100, 2.0), _run(0, "change", 120, 1.5),  # change better on both
+        _run(1, "parent", 100, 2.0), _run(1, "change", 90, 2.5),  # change worse on both
+        _run(2, "parent", 110, 1.0), _run(2, "change", 130, 3.0),  # better throughput only
+    ]
+    out = bench_pairs.summarize(runs, BETTER)
+    assert out["throughput_per_s"]["change_wins"] == 2
+    assert out["latency_p50_ms"]["change_wins"] == 1
+    assert out["throughput_per_s"]["pairs"] == 3
+    assert out["throughput_per_s"]["parent_median"] == 100
+    assert out["throughput_per_s"]["change_median"] == 120
+    assert out["throughput_per_s"]["ratio"] == 1.2
+    assert out["throughput_per_s"]["parent_iqr"] == 5
+    assert out["latency_p50_ms"]["change_range"] == [1.5, 3.0]
+
+
+def test_one_run_has_zero_iqr():
+    out = bench_pairs.summarize([_run(0, "parent", 100, 2.0), _run(0, "change", 90, 2.0)], BETTER)
+    assert out["throughput_per_s"]["parent_iqr"] == 0
+    assert out["throughput_per_s"]["change_wins"] == 0
+    assert out["latency_p50_ms"]["change_wins"] == 0  # a tie is no win
+
+
+def test_outcomes_total_failed_and_correct_per_side():
+    runs = [
+        _run(0, "parent", 100, 2.0, attempted=200, failed=0),
+        _run(0, "change", 120, 1.5, attempted=240, failed=3, correct=False),
+        _run(1, "change", 110, 1.5, attempted=260, failed=1),
+        _run(1, "parent", 100, 2.0, attempted=200, failed=0),
+    ]
+    out = bench_pairs.summarize(runs, BETTER)["outcomes"]
+    assert out["parent"] == {
+        "runs": 2, "attempted": 400, "failed": 0, "failed_share": 0.0, "correct": 2,
+    }
+    assert out["change"]["runs"] == 2
+    assert out["change"]["attempted"] == 500 and out["change"]["failed"] == 4
+    assert out["change"]["failed_share"] == pytest.approx(0.008)
+    assert out["change"]["correct"] == 1
+
+
+def test_a_side_without_runs_is_left_out_of_the_metrics():
+    out = bench_pairs.summarize([_run(0, "parent", 100, 2.0)], BETTER)
+    assert "throughput_per_s" not in out
+    assert out["outcomes"]["change"] == {
+        "runs": 0, "attempted": 0, "failed": 0, "failed_share": None, "correct": 0,
+    }

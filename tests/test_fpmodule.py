@@ -2,7 +2,7 @@
 
 import pytest
 
-from fpmod.errors import NotWellDefined
+from fpmod.errors import NotWellDefined, SourceMismatch
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
     SubmoduleRep,
@@ -156,3 +156,15 @@ def test_image_and_quotient():
 def test_rationals_modules_are_vector_spaces():
     M = mk_module(QQ, Mat.from_ints(QQ, [[2, 0], [0, 0]]))
     assert M.invariants() == ((), 1)
+
+
+def test_compose_needs_matching_presentations():
+    # Z/2 and Z/4 both have one generator; g o f is not defined
+    f = identity_morphism(zmod_cyclic(ZZ, 2))
+    g = mk_morphism(zmod_cyclic(ZZ, 4), zmod_cyclic(ZZ, 4), Mat.from_ints(ZZ, [[3]]))
+    assert f.target.gens == g.source.gens and f.target != g.source
+    with pytest.raises(SourceMismatch):
+        compose(g, f)
+    # an equal presentation built separately composes
+    h = compose(identity_morphism(zmod_cyclic(ZZ, 2)), f)
+    assert h.source == f.source and mor_eq(h, f)

@@ -345,3 +345,35 @@ def test_solve_linear_builds_no_transform(monkeypatch):
             assert X is not None and A.mul(X) == A.mul(X0)
     with pytest.raises(AssertionError, match="built a transform"):
         hnf(Mat.from_ints(ZZ, [[2, 3]]))
+
+
+def _kernel_via_snf(A):
+    """The kernel as the public snf gives it: V's columns past the rank."""
+    if A.ring.cover is not A.ring:
+        K = _kernel_via_snf(lift(A))
+        return nf._as_ring(K.select_rows(range(A.cols)), A.ring).nonzero_columns()
+    sf = snf(A)
+    return sf.V.select_columns(range(sf.rank, A.cols))
+
+
+def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Smith row log was replayed")
+
+    cases = []
+    for ring in SOLVE_RINGS:
+        rng = random.Random(f"no-smith-transform:{ring}")
+        for _ in range(10):
+            r, c = rng.randint(0, 4), rng.randint(0, 5)
+            rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
+            A = Mat.from_rows(ring, rows) if r and c else Mat.zeros(ring, r, c)
+            cases.append((A, _kernel_via_snf(A)))
+    monkeypatch.setattr(nf, "_replay_row_log", refuse)
+    for A, ref in cases:
+        K = kernel_matrix(A)
+        assert K == ref
+        assert A.mul(K).is_zero()
+    assert is_unimodular(Mat.from_ints(ZZ, [[2, 1], [1, 1]]))
+    assert not is_unimodular(Mat.from_ints(ZZ, [[2, 0], [0, 1]]))
+    with pytest.raises(AssertionError, match="row log was replayed"):
+        snf(Mat.from_ints(ZZ, [[2, 3]]))

@@ -8,6 +8,9 @@ Every run's result line (the last stdout line of run.py) is kept, and each
 end-to-end metric is summarized over the pairs: both sides' medians and
 ranges, the change/parent ratio of the medians, the parent's
 interquartile distance, and in how many pairs the change was better.
+The summary's "outcomes" entry gives each side's totals over its runs:
+inputs attempted and failed, the failed share, and how many runs
+reported correct.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --plan harness-tail:10:201 --plan harness-broad:5:101 \\
@@ -53,11 +56,29 @@ def run_pairs(dirs, workload, seeds, seconds, runs, save):
                   f"{m['throughput_per_s']['value']:.1f}/s failed {result['failed']}", flush=True)
 
 
+def outcomes(runs):
+    """Per side: runs, inputs attempted and failed, failed share, correct runs."""
+    out = {}
+    for side in SIDES:
+        results = [r["result"] for r in runs if r["side"] == side]
+        attempted = sum(res["attempted"] for res in results)
+        failed = sum(res["failed"] for res in results)
+        out[side] = {
+            "runs": len(results),
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": failed / attempted if attempted else None,
+            "correct": sum(bool(res["correct"]) for res in results),
+        }
+    return out
+
+
 def summarize(runs, better):
-    """Per metric: medians, ranges and quartile spread of each side, and wins."""
+    """Per metric: medians, ranges and quartile spread of each side, and
+    wins; under "outcomes", each side's attempted/failed/correct totals."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs}
-    out = {}
+    out = {"outcomes": outcomes(runs)}
     for name, direction in better.items():
         vals = {side: [value[p, side][name]["value"] for p in pairs if (p, side) in value]
                 for side in SIDES}
