@@ -29,6 +29,7 @@ from .homtensor import hom_module, tensor, base_change, is_flat, is_projective
 __version__ = "1.0.0"
 
 # Name of the normal-form implementation; there is only the pure-Python one.
+# The benchmark report prints it and its smoke test checks it.
 BACKEND = "pure"
 
 __all__ = [

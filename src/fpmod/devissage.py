@@ -267,8 +267,7 @@ def projective_cyclic_decomposition(P):
         raise NotProjective(f"{P} is not projective")
     cover = P.ring.cover
     sf = snf(P.lifted_rels())
-    U = sf.U
-    Uinv = solve_linear(U, Mat.identity(cover, U.rows)).map_entries(lambda e: e, new_ring=P.ring)
+    Uinv = sf.U_inverse().map_entries(lambda e: e, new_ring=P.ring)
     parts = []
     k = len(sf.invariant_factors)
     for i in range(P.gens):

@@ -131,18 +131,19 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # row i of the product accumulates x*(row k of B) for each
+        # nonzero x = A[i, k], k ascending
         r = self.ring
         z, add, mul = r.zero(), r.add, r.mul
         a, n, m = self.entries, self.cols, other.cols
-        bcols = [other.entries[j::m] for j in range(m)]
+        brows = [other.entries[k * m : (k + 1) * m] for k in range(n)]
         out = []
         for i in range(self.rows):
-            arow = a[i * n : (i + 1) * n]
-            for bcol in bcols:
-                acc = z
-                for x, y in zip(arow, bcol):
-                    acc = add(acc, mul(x, y))
-                out.append(acc)
+            acc = [z] * m
+            for x, brow in zip(a[i * n : (i + 1) * n], brows):
+                if x != z:
+                    acc = [add(s, mul(x, y)) for s, y in zip(acc, brow)]
+            out += acc
         return Mat(self.ring, self.rows, m, tuple(out))
 
     def transpose(self):
@@ -181,16 +182,19 @@ class Mat:
         return top.vstack(bot)
 
     def kron(self, other):
-        """Kronecker product (row-major block layout)."""
+        """Kronecker product (row-major block layout); a zero entry of
+        self gives a zero block."""
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
-        mul = self.ring.mul
+        z, mul = self.ring.zero(), self.ring.mul
         brows = other.to_rows()
+        zrow = [z] * other.cols
         out = []
         for i in range(self.rows):
             arow = self.row(i)
             for brow in brows:
-                out.extend(mul(a, b) for a in arow for b in brow)
+                for a in arow:
+                    out += [mul(a, b) for b in brow] if a != z else zrow
         return Mat(self.ring, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def select_columns(self, idxs):

@@ -21,12 +21,16 @@ the same replay on the identity.
 The Smith elimination works the same way on its rows: it builds D and
 V in place and logs its row operations in place of U, with U*A*V = D
 for the U of the log.  The public snf builds U by replaying the log on
-the identity.  kernel_matrix reads only V's columns past the rank, and
+the identity, and SmithForm.U_inverse builds U^-1 by undoing it, last
+step first.  kernel_matrix reads only V's columns past the rank, and
 is_unimodular only D's diagonal, so neither builds U or calls snf;
 invariant factors come from snf.
+
+A zero right-hand side never reaches the elimination: solve_linear
+returns the zero solution straight away.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, UnsupportedRing
 from .matrix import Mat
@@ -38,10 +42,18 @@ class SmithForm:
     D: Mat
     V: Mat
     invariant_factors: tuple
+    row_log: list = field(compare=False, repr=False)  # U's row operations, see _snf_rows
 
     @property
     def rank(self):
         return len(self.invariant_factors)
+
+    def U_inverse(self):
+        """U^-1, by undoing the row log on the identity: no solve."""
+        ops = self.U.ring.elim_ops()
+        W = _identity_rows(ops, self.U.rows)
+        _undo_row_log(ops, self.row_log, W)
+        return _rows_mat(self.U.ring, W, self.U.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +268,23 @@ def _replay_row_log(ops, log, Z):
             Z[i] = sub_row(Z[i], Z[t], q)
 
 
+def _undo_row_log(ops, log, Z):
+    """Z <- U^-1*Z for the U of a Smith row log, without building U.
+
+    U^-1 = E_1^-1*...*E_m^-1, so the inverse of each logged row
+    operation is applied to Z, last step first: "row i += q*row t", the
+    same swap, or scaling by the inverse of the unit u, which is unit(u).
+    """
+    sub_row, scale_row, neg, unit = ops.sub_row, ops.scale_row, ops.neg, ops.unit
+    for i, t, q in reversed(log):
+        if t is None:
+            Z[i] = scale_row(Z[i], unit(q))
+        elif q is None:
+            Z[i], Z[t] = Z[t], Z[i]
+        else:
+            Z[i] = sub_row(Z[i], Z[t], neg(q))
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -290,6 +319,7 @@ def snf(A):
         _rows_mat(ring, D, A.cols),
         _rows_mat(ring, V, A.cols),
         tuple(D[i][i] for i in range(k)),
+        log,
     )
 
 
@@ -328,12 +358,20 @@ def lift(A):
 
 
 def solve_linear(A, B):
-    """Solve A*X = B exactly over the ring; None if no solution exists."""
+    """Solve A*X = B exactly over the ring; None if no solution exists.
+
+    An all-zero B (B with no rows or no columns included) returns the
+    zero X of shape A.cols x B.cols without eliminating A: it is the
+    solution the log replay would give.  The ring and shape checks come
+    first, so a mismatched zero B still raises.
+    """
     ring = A.ring
     if ring != B.ring:
         raise DimensionMismatch(f"ring mismatch: {ring} vs {B.ring}")
     if A.rows != B.rows:
         raise DimensionMismatch(f"row mismatch: {A.rows} vs {B.rows}")
+    if B.is_zero():
+        return Mat.zeros(ring, A.cols, B.cols)
     if ring.cover is not ring:
         X = solve_linear(lift(A), _over_cover(B))
         if X is None:

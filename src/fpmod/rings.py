@@ -6,6 +6,9 @@ Fraction, or an (re, im) int pair for Gaussian integers) kept in canonical
 form.  Each ring has one arithmetic table, a RingOps: the element
 operations, and for the Euclidean rings the norm, quotient, remainder,
 associate unit and row/column updates of the normal-form elimination.
+The updates x - q*y skip zeros: an entry whose y entry is zero is left
+as it is, and over the rationals an entry is computed on numerators and
+denominators and built as one Fraction.
 RingDesc binds the element operations onto itself, so downstream code
 never needs to know the representation and no operation branches on the
 kind of ring.
@@ -211,8 +214,11 @@ class RingOps:
 
     The Euclidean entries are None over IntegersMod.  Matrices are lists
     of rows: row updates return a new row, column updates change the
-    rows in place.  norm, quo, rem and unit are only called with nonzero
-    arguments (for quo and rem: a nonzero divisor).
+    rows in place.  sub_row and sub_col leave an entry alone (the same
+    object) where the multiplier row or column holds zero, so an update
+    costs work only at the nonzeros of y.  norm, quo, rem and unit are
+    only called with nonzero arguments (for quo and rem: a nonzero
+    divisor).
     """
 
     zero: object
@@ -241,7 +247,7 @@ class RingOps:
 
 
 def _plain_sub_row(x, y, q):
-    return [a - q * b for a, b in zip(x, y)]
+    return [a - q * b if b else a for a, b in zip(x, y)]
 
 
 def _plain_scale_row(x, u):
@@ -250,12 +256,41 @@ def _plain_scale_row(x, u):
 
 def _plain_sub_col(M, j, k, q):
     for row in M:
-        row[j] -= q * row[k]
+        b = row[k]
+        if b:
+            row[j] -= q * b
 
 
 def _plain_scale_col(M, j, u):
     for row in M:
         row[j] *= u
+
+
+# QQ's updates compute a - q*b on numerators and denominators and build
+# one Fraction, in place of a Fraction product and a Fraction difference
+
+
+def _rat_sub_row(x, y, q):
+    qn, qd = q.numerator, q.denominator
+    out = []
+    for a, b in zip(x, y):
+        bn = b.numerator
+        if bn:
+            pd, ad = qd * b.denominator, a.denominator
+            a = Fraction(a.numerator * pd - qn * bn * ad, ad * pd)
+        out.append(a)
+    return out
+
+
+def _rat_sub_col(M, j, k, q):
+    qn, qd = q.numerator, q.denominator
+    for row in M:
+        b = row[k]
+        bn = b.numerator
+        if bn:
+            a = row[j]
+            pd, ad = qd * b.denominator, a.denominator
+            row[j] = Fraction(a.numerator * pd - qn * bn * ad, ad * pd)
 
 
 def _field_norm(a):
@@ -273,7 +308,8 @@ def _sign(a):
 def _gauss_sub_row(x, y, q):
     q0, q1 = q
     return [
-        (a0 - (q0 * b0 - q1 * b1), a1 - (q0 * b1 + q1 * b0)) for (a0, a1), (b0, b1) in zip(x, y)
+        (a[0] - (q0 * b0 - q1 * b1), a[1] - (q0 * b1 + q1 * b0)) if b0 or b1 else a
+        for a, (b0, b1) in zip(x, y)
     ]
 
 
@@ -284,8 +320,10 @@ def _gauss_scale_row(x, u):
 def _gauss_sub_col(M, j, k, q):
     q0, q1 = q
     for row in M:
-        (a0, a1), (b0, b1) = row[j], row[k]
-        row[j] = (a0 - (q0 * b0 - q1 * b1), a1 - (q0 * b1 + q1 * b0))
+        b0, b1 = row[k]
+        if b0 or b1:
+            a0, a1 = row[j]
+            row[j] = (a0 - (q0 * b0 - q1 * b1), a1 - (q0 * b1 + q1 * b0))
 
 
 def _gauss_scale_col(M, j, u):
@@ -307,7 +345,9 @@ def _residue_ops(n, field):
 
         def sub_col(M, j, k, q):
             for row in M:
-                row[j] = (row[j] - q * row[k]) % n
+                b = row[k]
+                if b:
+                    row[j] = (row[j] - q * b) % n
 
         def scale_col(M, j, u):
             for row in M:
@@ -318,7 +358,7 @@ def _residue_ops(n, field):
             quo=lambda a, b: a * pow(b, -1, n) % n,
             rem=_field_rem,
             unit=lambda a: pow(a, -1, n),
-            sub_row=lambda x, y, q: [(a - q * b) % n for a, b in zip(x, y)],
+            sub_row=lambda x, y, q: [(a - q * b) % n if b else a for a, b in zip(x, y)],
             scale_row=lambda x, u: [u * a % n for a in x],
             sub_col=sub_col,
             scale_col=scale_col,
@@ -374,7 +414,7 @@ _RAT_OPS = RingOps(
     quo=operator.truediv,
     rem=_field_rem,
     unit=lambda a: 1 / a,
-    **_PLAIN_ARITHMETIC,
+    **dict(_PLAIN_ARITHMETIC, sub_row=_rat_sub_row, sub_col=_rat_sub_col),
 )
 _GAUSS_OPS = RingOps(
     zero=(0, 0),

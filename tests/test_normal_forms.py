@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fpmod.normal_forms as nf
-from fpmod.errors import UnsupportedRing
+from fpmod.errors import DimensionMismatch, UnsupportedRing
 from fpmod.matrix import Mat
 from fpmod.normal_forms import hnf, is_unimodular, kernel_matrix, lift, snf, solve_linear
 from fpmod.rings import INTEGERS_MOD, ZZ, QQ, ZI, Fp, Zmod
@@ -377,3 +377,49 @@ def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
     assert not is_unimodular(Mat.from_ints(ZZ, [[2, 0], [0, 1]]))
     with pytest.raises(AssertionError, match="row log was replayed"):
         snf(Mat.from_ints(ZZ, [[2, 3]]))
+
+
+# ---------------------------------------------------------------------------
+# zero right-hand sides, and U^-1 from the Smith row log
+
+
+def test_solve_linear_zero_rhs_is_zero_without_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a zero right-hand side was eliminated")
+
+    monkeypatch.setattr(nf, "_hnf_rows", refuse)
+    for ring in [ZZ, QQ, Fp(5), ZI, Zmod(12)]:
+        rng = random.Random(f"zero-rhs:{ring}")
+        shapes = [(3, 4, 2), (4, 2, 1), (0, 3, 2), (3, 0, 2), (3, 4, 0), (0, 0, 1)]
+        for r, c, m in shapes:
+            rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
+            A = Mat.from_rows(ring, rows) if r and c else Mat.zeros(ring, r, c)
+            X = solve_linear(A, Mat.zeros(ring, r, m))
+            assert X == Mat.zeros(ring, c, m)
+            assert all(type(e) is type(ring.zero()) for e in X.entries)
+        # a matrix of zero rows or zero columns is solved the same way
+        assert solve_linear(Mat.zeros(ring, 2, 3), Mat.zeros(ring, 2, 1)) == Mat.zeros(ring, 3, 1)
+        with pytest.raises(DimensionMismatch, match="row mismatch"):
+            solve_linear(Mat.zeros(ring, 3, 2), Mat.zeros(ring, 2, 1))
+        other = QQ if ring != QQ else ZZ
+        with pytest.raises(DimensionMismatch, match="ring mismatch"):
+            solve_linear(Mat.zeros(ring, 2, 2), Mat.zeros(other, 2, 1))
+    # Z/12: a zero B over the residues, however A's lift looks
+    A = Mat.from_ints(Zmod(12), [[2, 3], [4, 6]])
+    assert solve_linear(A, Mat.zeros(Zmod(12), 2, 3)) == Mat.zeros(Zmod(12), 2, 3)
+    with pytest.raises(AssertionError, match="was eliminated"):
+        solve_linear(A, Mat.from_ints(Zmod(12), [[1], [0]]))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Fp(5), ZI], ids=str)
+def test_smith_u_inverse_undoes_the_row_log(ring):
+    rng = random.Random(f"u-inverse:{ring}")
+    for _ in range(40):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
+        A = Mat.from_rows(ring, rows) if r and c else Mat.zeros(ring, r, c)
+        sf = snf(A)
+        W = sf.U_inverse()
+        I = Mat.identity(ring, r)
+        assert W.mul(sf.U) == I and sf.U.mul(W) == I
+        assert W == solve_linear(sf.U, I)  # the unique inverse

@@ -1,5 +1,6 @@
 """Ring arithmetic, canonical forms, and Euclidean division."""
 
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fpmod.errors import InputError, PrimalityUndecided
+from fpmod.matrix import Mat
 from fpmod.rings import _MR_LIMIT, ZZ, QQ, ZI, Fp, Zmod, RingDesc, _is_prime, ring_map
 
 
@@ -138,6 +140,63 @@ def test_ring_ops_match_reference(ring):
         else:
             assert r == zero or ops.norm(r) < ops.norm(b)
         assert ring.exact_div(ref["mul"](a, b), b) == a
+
+
+def _canonical(ring, e):
+    c = ring.canon(e)
+    return c == e and type(c) is type(e)
+
+
+def _draw_row(ring, rng, n, density):
+    ref, zero = _REFERENCE[ring], ring.zero()
+    return [ref["draw"](rng) if rng.random() < density else zero for _ in range(n)]
+
+
+@pytest.mark.parametrize("ring", list(_REFERENCE), ids=str)
+def test_updates_and_products_match_reference(ring):
+    """sub_row and sub_col (over the cover for Z/n), Mat.mul and Mat.kron
+    against the per-entry formulas a - q*b and the sum of x*y, on sparse
+    and dense rows.  An update leaves an entry whose multiplier entry is
+    zero alone."""
+    rng = random.Random(f"updates:{ring}")
+    cover = ring.cover
+    ops, cref, czero = cover.ops, _REFERENCE[cover], cover.zero()
+    ref, zero = _REFERENCE[ring], ring.zero()
+    for density in (0.0, 0.2, 0.6, 1.0):
+        for _ in range(40):
+            n = rng.randint(0, 7)
+            x, y = _draw_row(ring, rng, n, density), _draw_row(ring, rng, n, density)
+            q = cref["draw"](rng)
+            expect = [cref["sub"](a, cref["mul"](q, b)) for a, b in zip(x, y)]
+            out = ops.sub_row(x, y, q)
+            assert out == expect and all(_canonical(cover, e) for e in out)
+            assert all(a is c for a, b, c in zip(x, y, out) if b == czero)
+            M = [[x[i], y[i], q] for i in range(n)]
+            ops.sub_col(M, 0, 1, q)
+            assert [row[0] for row in M] == expect
+            assert [row[1:] for row in M] == [[b, q] for b in y]
+            assert all(_canonical(cover, row[0]) for row in M)
+            # products over the ring itself
+            r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+            A = [_draw_row(ring, rng, k, density) for _ in range(r)]
+            B = [_draw_row(ring, rng, c, density) for _ in range(k)]
+            P = Mat(ring, r, k, tuple(e for row in A for e in row)).mul(
+                Mat(ring, k, c, tuple(e for row in B for e in row))
+            )
+            for i in range(r):
+                for j in range(c):
+                    s = zero
+                    for t in range(k):
+                        s = ref["add"](s, ref["mul"](A[i][t], B[t][j]))
+                    assert P.get(i, j) == s
+            assert all(_canonical(ring, e) for e in P.entries)
+            K = Mat(ring, r, k, tuple(e for row in A for e in row)).kron(
+                Mat(ring, k, c, tuple(e for row in B for e in row))
+            )
+            assert (K.rows, K.cols) == (r * k, k * c)
+            for i, t, u, j in itertools.product(range(r), range(k), range(k), range(c)):
+                assert K.get(i * k + u, t * c + j) == ref["mul"](A[i][t], B[u][j])
+            assert all(_canonical(ring, e) for e in K.entries)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, ZI, Fp(5), Zmod(6)], ids=str)
