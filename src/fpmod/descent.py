@@ -16,7 +16,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrix import Mat
-from .normal_forms import solve_linear
+from .normal_forms import solvable
 from . import homtensor
 from .homtensor import apply_ring_map, base_change, base_change_mor
 from .limits import ML, UNKNOWN, Tower, tower_ml_check
@@ -84,12 +84,12 @@ def descend_generators(phi, P, ext_gens):
     for c in cols:
         gen_mat = gen_mat.hstack(c)
     target_id = Mat.identity(tring, P.gens)
-    if solve_linear(gen_mat.hstack(ext.rels), target_id) is None:
+    if not solvable(gen_mat.hstack(ext.rels), target_id):
         raise DoesNotSpan("supplied tensors do not span the extended module")
     comp_mat = Mat.zeros(P.ring, P.gens, 0)
     for c in components:
         comp_mat = comp_mat.hstack(c)
-    if solve_linear(comp_mat.hstack(P.rels), Mat.identity(P.ring, P.gens)) is None:
+    if not solvable(comp_mat.hstack(P.rels), Mat.identity(P.ring, P.gens)):
         raise ComponentsDoNotSpan(
             "collected components fail to span; contradicts faithful flatness"
         )

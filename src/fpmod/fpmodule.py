@@ -9,21 +9,24 @@ ideal*identity relations appended for a quotient such as Z/n
 code in the package.
 
 A morphism whose matrix comes from outside goes through mk_morphism,
-which solves for the witness: the CLI, the harness decoders,
-HomModule.decode and the identification checks of
-pushout_base_change_check.  Every morphism the package builds itself
-gets its witness by construction, in closed form: compose,
-identity_morphism, zero_morphism, quotient_by (and so cokernel),
-present_submodule (and so kernel) and direct_sum here; pushout,
+which solves for the witness: the CLI, the harness decoders and
+HomModule.decode.  Every morphism the package builds itself gets its
+witness by construction, in closed form: compose, identity_morphism,
+zero_morphism, quotient_by (and so cokernel), present_submodule (and
+so kernel) and direct_sum here; pushout, pushout_induced,
 base_change_mor, tensor_mor, is_flat, summand_devissage and the
 morphism-equation solver (homtensor._solve_morphism) elsewhere.
+
+Equality of morphisms, membership, containment and the zero tests only
+need a verdict, so they call normal_forms.solvable, which builds no
+solution.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, NotWellDefined, RingMismatch, SourceMismatch
 from .matrix import Mat
-from .normal_forms import kernel_matrix, lift, snf, solve_linear
+from .normal_forms import kernel_matrix, lift, snf, solvable, solve_linear
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def mor_eq(f, g):
     """Equality modulo target relations."""
     if f.source.gens != g.source.gens or f.target.gens != g.target.gens:
         raise DimensionMismatch("comparing morphisms of different shapes")
-    return solve_linear(f.target.rels, f.mat.sub(g.mat)) is not None
+    return solvable(f.target.rels, f.mat.sub(g.mat))
 
 
 def compose(g, f):
@@ -161,7 +164,7 @@ def mor_power(f, k):
 
 
 def is_zero_elem(M, x):
-    return solve_linear(M.rels, x) is not None
+    return solvable(M.rels, x)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +186,13 @@ def member(sub, x):
     if x.rows != sub.ambient.gens or x.cols != 1:
         raise DimensionMismatch("element has wrong shape for ambient module")
     A = sub.gens_mat.hstack(sub.ambient.rels)
-    return solve_linear(A, x) is not None
+    return solvable(A, x)
 
 
 def sub_leq(a, b):
     """Every generator of a lies in b (same ambient)."""
     A = b.gens_mat.hstack(b.ambient.rels)
-    return solve_linear(A, a.gens_mat) is not None
+    return solvable(A, a.gens_mat)
 
 
 def sub_eq(a, b):
@@ -197,7 +200,7 @@ def sub_eq(a, b):
 
 
 def sub_is_zero(a):
-    return solve_linear(a.ambient.rels, a.gens_mat) is not None
+    return solvable(a.ambient.rels, a.gens_mat)
 
 
 def sub_sum(a, b):

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .matrix import Mat
-from .normal_forms import kernel_matrix, snf, solve_linear
+from .normal_forms import kernel_matrix, snf, solvable, solve_linear
 from .fpmodule import (
     FpModule,
     Morphism,
@@ -132,7 +132,7 @@ def tower_surjective_lift(A, B, C, fmap, gmap, c_family, horizon):
         raise HypothesisViolation("gmap does not commute with the tower steps")
     for i in range(horizon):
         got = C.step.mat.mul(c_family[i + 1])
-        if solve_linear(C.object.rels, got.sub(c_family[i])) is None:
+        if not solvable(C.object.rels, got.sub(c_family[i])):
             raise HypothesisViolation(f"c_family not step-compatible at level {i}")
     stab = inverse_tower_stabilization(A, horizon)
     if stab.status != ML:
@@ -161,12 +161,9 @@ def tower_surjective_lift(A, B, C, fmap, gmap, c_family, horizon):
         alphas[i] = A.step.mat.mul(alphas[i + 1]).sub(a_corr[i])
     b_family = [b_tilde[i].add(fmap.mat.mul(alphas[i])) for i in range(horizon + 1)]
     for i in range(horizon + 1):
-        assert solve_linear(C.object.rels, gmap.mat.mul(b_family[i]).sub(c_family[i])) is not None
+        assert solvable(C.object.rels, gmap.mat.mul(b_family[i]).sub(c_family[i]))
     for i in range(horizon):
-        assert (
-            solve_linear(B.object.rels, B.step.mat.mul(b_family[i + 1]).sub(b_family[i]))
-            is not None
-        )
+        assert solvable(B.object.rels, B.step.mat.mul(b_family[i + 1]).sub(b_family[i]))
     return b_family
 
 
@@ -252,7 +249,7 @@ def enlarge_to_free(M, j_size, psi, N):
     if psi.cols != j_size or psi.rows != M.gens:
         raise PreconditionViolation("psi must map R^J into M's generators")
     # psi must kill N inside M (modulo M's relations)
-    if solve_linear(M.rels, psi.mul(N)) is None:
+    if not solvable(M.rels, psi.mul(N)):
         raise PreconditionViolation("some column of N is not in ker(psi)")
     big = psi.hstack(M.rels)
     Nprime = kernel_matrix(big).select_rows(range(j_size))

@@ -10,13 +10,25 @@ Any other ring is cover/(ideal) for its Euclidean cover (Z/n is Z/(n));
 cover, with ideal*identity columns appended.  solve_linear,
 kernel_matrix and FpModule.lifted_rels all go through it.
 
-The Hermite elimination returns H together with the log of its column
-operations, not the transform: A*U = H where U is the product of the
-logged elementary operations.  solve_linear forward-substitutes
-H*Y = B on the elimination's rows, then forms X = U*[Y; 0] by replaying
-the log last step first as row operations on [Y; 0], B.cols entries a
-step; an unsolvable system never replays it.  hnf builds U itself by
-the same replay on the identity.
+The Hermite elimination (_echelon) is a generator: it yields each row
+as soon as that row is final, since later steps touch only lower rows
+and later columns.  Each column operation goes to a step function, so
+a caller that needs the transform logs them: A*U = H where U is the
+product of the logged elementary operations.  Three entry points share
+the elimination:
+
+- solve_linear forward-substitutes each row of H*Y = B as it arrives
+  and returns None at the first inconsistent row, leaving the rows
+  below it uneliminated.  It then forms X = U*[Y; 0] by replaying the
+  log last step first as row operations on [Y; 0], B.cols entries a
+  step.
+- solvable does the same walk for the verdict alone: no log is kept
+  and nothing is replayed.  Callers that only test for a solution use
+  it.
+- hnf reduces the entries left of each pivot as its row arrives, and
+  builds U by the replay on the identity.  Only hnf does this: the
+  reduction only mixes pivot columns, so U*[Y; 0] is the same without
+  it, and the solver keeps each pivot column final once its row is.
 
 The Smith elimination works the same way on its rows: it builds D and
 V in place and logs its row operations in place of U, with U*A*V = D
@@ -27,7 +39,7 @@ is_unimodular only D's diagonal, so neither builds U or calls snf;
 invariant factors come from snf.
 
 A zero right-hand side never reaches the elimination: solve_linear
-returns the zero solution straight away.
+returns the zero solution, and solvable True, straight away.
 """
 
 from dataclasses import dataclass, field
@@ -169,28 +181,31 @@ def _snf_rows(ops, a_rows, rows, cols):
     return D, V, log
 
 
-def _hnf_rows(ops, a_rows, rows, cols):
-    """Column Hermite form of the rows of A: returns (H, log) with
-    A*U = H, where U is the product of the column operations in log.
+def _echelon(ops, H, rows, cols, step):
+    """Column echelon form of the rows H, in place: yields (r, c) for
+    each row r once it is final, with c its pivot column or None.
 
-    A logged step is (j, k, q) for "column j -= q*column k",
-    (j, k, None) for swapping columns j and k, or (j, None, u) for
-    scaling column j by the unit u.  U is never built here:
-    _apply_transform replays the log last step first as row operations.
+    Row r is worked on rows r.. and columns c.. only, so later steps
+    leave it, and its pivot column, as they are: a caller may read row
+    r and column c when (r, c) is yielded, and may stop after any row.
+    The pivot is a normalized (unit-scaled) entry with zeros to its
+    right, and the pivot columns are 0, 1, ... in order.  Entries left
+    of a pivot are not reduced here: hnf does that between yields.
+
+    Each column operation goes to step, as (j, k, q) for "column
+    j -= q*column k", (j, k, None) for swapping columns j and k, or
+    (j, None, u) for scaling column j by the unit u; A*U = H for the
+    product U of the steps.  _apply_transform replays them.
     """
     z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
-    H = [row[:] for row in a_rows]
-    log = []
-    step = log.append
     c = 0
     for r in range(rows):
-        if c >= cols:
-            break
         # rows above r are zero from column c on, so the column
         # operations below leave them alone
         Hl = H[r:]
         Hr = Hl[0]
-        while True:
+        pivot = None
+        while c < cols:
             j0 = -1
             best = 0
             for j in range(c, cols):
@@ -222,17 +237,44 @@ def _hnf_rows(ops, a_rows, rows, cols):
             if u != ops.one:
                 ops.scale_col(Hl, c, u)
                 step((c, None, u))
-            # reduce the entries left of the pivot
-            p = Hr[c]
-            for j in range(c):
-                if Hr[j] != z:
-                    q = quo(Hr[j], p)
-                    if q != z:
-                        sub_col(Hl, j, c, q)
-                        step((j, c, q))
+            pivot = c
             c += 1
             break
-    return H, log
+        yield r, pivot
+
+
+def _discard(_step):
+    """The step of an elimination whose transform nobody reads."""
+
+
+def _forward(ops, H, R, rows, cols, step):
+    """Y with H*Y = R for the echelon form H that _echelon makes of the
+    rows H, or None at the first row that shows there is none.
+
+    Y has one row per pivot column.  Each row of H is substituted as
+    soon as it is final, so an inconsistent system stops the
+    elimination there.  Left of its pivot a row is not reduced: that
+    would only mix pivot columns, so U*[Y; 0] is the same either way.
+    """
+    z, quo, rem, sub, mul = ops.zero, ops.quo, ops.rem, ops.sub, ops.mul
+    Y = []  # row t of Y, for the pivot column t
+    for i, c in _echelon(ops, H, rows, cols, step):
+        Hi, res = H[i], R[i]  # res: the residual of row i, R[i] - (H*Y)[i]
+        for h, y in zip(Hi, Y):
+            if h != z:
+                res = [sub(e, mul(h, q)) for e, q in zip(res, y)]
+        if c is None:
+            if any(e != z for e in res):
+                return None
+            continue
+        p = Hi[c]
+        y = []
+        for e in res:
+            if rem(e, p) != z:
+                return None
+            y.append(quo(e, p))
+        Y.append(y)
+    return Y
 
 
 def _apply_transform(ops, log, Z):
@@ -324,12 +366,31 @@ def snf(A):
 
 
 def hnf(A):
-    """Column Hermite form: returns (H, U) with H = A*U, U unimodular."""
+    """Column Hermite form: returns (H, U) with H = A*U, U unimodular.
+
+    Each row's entries left of its pivot are reduced by the pivot as
+    soon as the row is final; only hnf does this.
+    """
     ring = A.ring
     if not ring.is_euclidean:
         raise UnsupportedRing(f"hnf needs a Euclidean ring, got {ring}")
     ops = ring.elim_ops()
-    H, log = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
+    z, quo, sub_col = ops.zero, ops.quo, ops.sub_col
+    H = A.to_rows()
+    log = []
+    step = log.append
+    for r, c in _echelon(ops, H, A.rows, A.cols, step):
+        if c is None:
+            continue
+        Hl = H[r:]
+        Hr = Hl[0]
+        p = Hr[c]
+        for j in range(c):
+            if Hr[j] != z:
+                q = quo(Hr[j], p)
+                if q != z:
+                    sub_col(Hl, j, c, q)
+                    step((j, c, q))
     U = _identity_rows(ops, A.cols)
     _apply_transform(ops, log, U)  # U*I
     return _rows_mat(ring, H, A.cols), _rows_mat(ring, U, A.cols)
@@ -357,6 +418,14 @@ def lift(A):
     return _over_cover(A).hstack(Mat.identity(cover, A.rows).scale(ring.ideal))
 
 
+def _check_system(A, B):
+    ring = A.ring
+    if ring != B.ring:
+        raise DimensionMismatch(f"ring mismatch: {ring} vs {B.ring}")
+    if A.rows != B.rows:
+        raise DimensionMismatch(f"row mismatch: {A.rows} vs {B.rows}")
+
+
 def solve_linear(A, B):
     """Solve A*X = B exactly over the ring; None if no solution exists.
 
@@ -365,11 +434,8 @@ def solve_linear(A, B):
     solution the log replay would give.  The ring and shape checks come
     first, so a mismatched zero B still raises.
     """
+    _check_system(A, B)
     ring = A.ring
-    if ring != B.ring:
-        raise DimensionMismatch(f"ring mismatch: {ring} vs {B.ring}")
-    if A.rows != B.rows:
-        raise DimensionMismatch(f"row mismatch: {A.rows} vs {B.rows}")
     if B.is_zero():
         return Mat.zeros(ring, A.cols, B.cols)
     if ring.cover is not ring:
@@ -377,35 +443,34 @@ def solve_linear(A, B):
         if X is None:
             return None
         return _as_ring(X.select_rows(range(A.cols)), ring)
-    # A*U = H with H in column echelon form: column c is zero above its
-    # pivot row, and a row that holds no pivot is zero from the next
-    # pivot column on.  Forward substitution solves H*Y = B; Y is zero
-    # off its first rank rows, and X = U*[Y; 0] replays the log on it.
+    # A*U = H with H in column echelon form; Y solves H*Y = B, is zero
+    # off its first rank rows, and X = U*[Y; 0] replays the log on it
     ops = ring.elim_ops()
-    z, quo, rem, sub, mul = ops.zero, ops.quo, ops.rem, ops.sub, ops.mul
-    H, log = _hnf_rows(ops, A.to_rows(), A.rows, A.cols)
-    R = B.to_rows()  # residual B - H*Y over the rows not yet reached
-    Y = []  # row c of Y, for the pivot column c
-    for i, Hi in enumerate(H):
-        c = len(Y)
-        p = Hi[c] if c < A.cols else z
-        if p == z:
-            if any(e != z for e in R[i]):
-                return None
-            continue
-        y = []
-        for e in R[i]:
-            if rem(e, p) != z:
-                return None
-            y.append(quo(e, p))
-        Y.append(y)
-        for k in range(i + 1, A.rows):
-            h = H[k][c]
-            if h != z:
-                R[k] = [sub(e, mul(h, q)) for e, q in zip(R[k], y)]
-    Y += [[z] * B.cols] * (A.cols - len(Y))
+    log = []
+    Y = _forward(ops, A.to_rows(), B.to_rows(), A.rows, A.cols, log.append)
+    if Y is None:
+        return None
+    Y += [[ops.zero] * B.cols] * (A.cols - len(Y))
     _apply_transform(ops, log, Y)
     return Mat(ring, A.cols, B.cols, tuple(e for row in Y for e in row))
+
+
+def solvable(A, B):
+    """True iff A*X = B has a solution over the ring.
+
+    The verdict of solve_linear without its X: the same checks, the same
+    zero right-hand side and Z/n lift, and the same elimination and
+    forward substitution, but no log is kept, nothing is replayed, and
+    the elimination stops at the first inconsistent row.
+    """
+    _check_system(A, B)
+    ring = A.ring
+    if B.is_zero():
+        return True
+    if ring.cover is not ring:
+        return solvable(lift(A), _over_cover(B))
+    ops = ring.elim_ops()
+    return _forward(ops, A.to_rows(), B.to_rows(), A.rows, A.cols, _discard) is not None
 
 
 def kernel_matrix(A):

@@ -8,7 +8,10 @@ counterexample witnesses for the negative verdicts.
 
 Factorizations, retractions and sections are morphism equations; they
 are solved by homtensor._solve_morphism, which builds the vectorized
-system in one place.
+system in one place.  Where only the existence of a retraction matters
+(the pushout-purity cross-oracle and purity_descends), has_retraction
+decides it by homtensor._morphism_exists, which builds no morphism and
+stops at the first inconsistent row of the equation.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ from .fpmodule import (
     mk_module,
     mor_eq,
 )
-from .homtensor import _solve_morphism, base_change_mor, tensor_mor
+from .homtensor import _morphism_exists, _solve_morphism, base_change_mor, tensor_mor
 from .pushout import pushout
 
 
@@ -64,6 +67,12 @@ def solve_section(p):
 def find_retraction(f):
     """A retraction pi with pi o f = id on the source, or None."""
     return solve_factor(f.target, f.source, f.mat, Mat.identity(f.source.ring, f.source.gens))
+
+
+def has_retraction(f):
+    """Whether find_retraction(f) finds one, decided without building it."""
+    I = Mat.identity(f.source.ring, f.source.gens)
+    return _morphism_exists(f.target, f.source, I, f.mat, I, f.source.rels)
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,7 @@ def dominates(f, g):
 def dominates_via_pushout(f, g):
     """Cross-oracle: g dominates f iff inr of their pushout is pure."""
     P = pushout(f, g)
-    return find_retraction(P.inr) is not None
+    return has_retraction(P.inr)
 
 
 def mutually_dominate(f, g):
@@ -168,7 +177,6 @@ def purity_descends(phi, f):
     """
     if not phi.faithfully_flat:
         raise NotFaithfullyFlat(f"{phi} is not faithfully flat")
-    extended_pure = find_retraction(base_change_mor(phi, f)) is not None
-    if not extended_pure:
+    if not has_retraction(base_change_mor(phi, f)):
         return True  # implication is vacuous
-    return find_retraction(f) is not None
+    return has_retraction(f)

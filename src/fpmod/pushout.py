@@ -10,7 +10,7 @@ columns, are their witnesses.
 
 from dataclasses import dataclass
 
-from .errors import SourceMismatch, SquareDoesNotCommute
+from .errors import NotWellDefined, SourceMismatch, SquareDoesNotCommute
 from .matrix import Mat
 from .fpmodule import (
     FpModule,
@@ -19,10 +19,10 @@ from .fpmodule import (
     compose,
     is_iso,
     mk_module,
-    mk_morphism,
     mor_eq,
 )
 from .homtensor import base_change, base_change_mor
+from .normal_forms import solvable, solve_linear
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,19 @@ def pushout(f, g):
 
 
 def pushout_induced(P, u, v):
-    """The unique w with w o inl = u and w o inr = v, given u o f = v o g."""
-    if not mor_eq(compose(u, P.f), compose(v, P.g)):
+    """The unique w with w o inl = u and w o inr = v, given u o f = v o g.
+
+    One solve gives both: y with T.rels*y = u*f - v*g, for the target T
+    of u and v, exists iff the square commutes, and [w_u | w_v | y] is
+    the witness of w = [u | v] on the relation blocks of the pushout.
+    """
+    if u.target != v.target:
+        raise SourceMismatch("u and v need a common target")
+    uf, vg = compose(u, P.f), compose(v, P.g)
+    y = solve_linear(u.target.rels, uf.mat.sub(vg.mat))
+    if y is None:
         raise SquareDoesNotCommute("u o f and v o g differ")
-    w = mk_morphism(P.object, u.target, u.mat.hstack(v.mat))
+    w = Morphism(P.object, u.target, u.mat.hstack(v.mat), u.witness.hstack(v.witness).hstack(y))
     assert mor_eq(compose(w, P.inl), u)
     assert mor_eq(compose(w, P.inr), v)
     return w
@@ -68,11 +77,12 @@ def pushout_base_change_check(phi, f, g):
     changed = base_change(phi, P.object)
     if not is_iso(changed, PS.object):
         return False
-    # the identification: same generators in the same order on both sides.
-    # Its two well-definedness solves are the check that the identity is
-    # an isomorphism: each side's relations lie in the span of the
-    # other's (mk_morphism raises NotWellDefined otherwise).
-    ident = mk_morphism(changed, PS.object, Mat.identity(phi.target, changed.gens))
-    mk_morphism(PS.object, changed, Mat.identity(phi.target, changed.gens))
-    # triangle: ident o base_change(inr) = inr of the base-changed pushout
-    return mor_eq(compose(ident, base_change_mor(phi, P.inr)), PS.inr)
+    # the identification is the identity on generators, the same on
+    # both sides.  It is an isomorphism iff each side's relations lie in
+    # the span of the other's: the two containments are the check.
+    if not (solvable(PS.object.rels, changed.rels) and solvable(changed.rels, PS.object.rels)):
+        raise NotWellDefined("matrix does not send source relations into target relations")
+    # triangle: ident o base_change(inr) = inr of the base-changed pushout,
+    # modulo PS's relations; ident's matrix is the identity
+    inrS = base_change_mor(phi, P.inr)
+    return solvable(PS.object.rels, inrS.mat.sub(PS.inr.mat))

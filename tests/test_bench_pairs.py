@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the per-workload summary of alternating pairs."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -52,7 +53,8 @@ def test_outcomes_total_failed_and_correct_per_side():
     ]
     out = bench_pairs.summarize(runs, BETTER)["outcomes"]
     assert out["parent"] == {
-        "runs": 2, "attempted": 400, "failed": 0, "failed_share": 0.0, "correct": 2,
+        "runs": 2, "failed_runs": 0, "attempted": 400, "failed": 0, "failed_share": 0.0,
+        "correct": 2,
     }
     assert out["change"]["runs"] == 2
     assert out["change"]["attempted"] == 500 and out["change"]["failed"] == 4
@@ -64,5 +66,36 @@ def test_a_side_without_runs_is_left_out_of_the_metrics():
     out = bench_pairs.summarize([_run(0, "parent", 100, 2.0)], BETTER)
     assert "throughput_per_s" not in out
     assert out["outcomes"]["change"] == {
-        "runs": 0, "attempted": 0, "failed": 0, "failed_share": None, "correct": 0,
+        "runs": 0, "failed_runs": 0, "attempted": 0, "failed": 0, "failed_share": None,
+        "correct": 0,
     }
+
+
+def _checkout(tmp_path, name, body):
+    """A directory whose perfbench/run.py is the given script."""
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(body)
+    return str(root)
+
+
+def test_a_run_that_exits_nonzero_is_kept_and_counted_failed(tmp_path):
+    line = {"correct": True, "attempted": 50, "failed": 0,
+            "metrics": {"throughput_per_s": {"value": 100.0}, "latency_p50_ms": {"value": 2.0}}}
+    dirs = {
+        "parent": _checkout(tmp_path, "parent", f"print({json.dumps(json.dumps(line))})\n"),
+        "change": _checkout(tmp_path, "change", "import sys\nsys.exit(3)\n"),
+    }
+    runs = []
+    bench_pairs.run_pairs(dirs, "harness-tail", [7, 8], 1, runs, lambda: None)
+    assert [(r["pair"], r["side"], r["exit_code"]) for r in runs] == [
+        (0, "parent", 0), (0, "change", 3), (1, "change", 3), (1, "parent", 0),
+    ]
+    assert all(r["result"] is None for r in runs if r["side"] == "change")
+    out = bench_pairs.summarize(runs, BETTER)
+    assert out["outcomes"]["change"]["runs"] == 2
+    assert out["outcomes"]["change"]["failed_runs"] == 2
+    assert out["outcomes"]["change"]["correct"] == 0
+    assert out["outcomes"]["parent"]["failed_runs"] == 0
+    assert out["outcomes"]["parent"]["attempted"] == 100
+    assert "throughput_per_s" not in out  # no pair has both sides

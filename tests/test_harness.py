@@ -160,9 +160,8 @@ def test_slowest_instances_go_to_stderr_only(capsys, parallelism):
 
 
 def test_domination_heavy_instance_passes_quickly():
-    # seed 42 #2 solves an inconsistent 20x28 integer system in
-    # solve_factor; through the Smith form its transforms grew to
-    # ~750k bits and the instance took over 20 s
+    # seed 42 #2: its heaviest system is the unsolvable 52x76 integer
+    # retraction check of the pushout's inr in dominates_via_pushout
     start = time.perf_counter()
     assert _run_one("domination_cross_oracle", 2, HarnessConfig(seed=42, trials=3)) is None
     assert time.perf_counter() - start < 10

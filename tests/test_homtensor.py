@@ -6,6 +6,8 @@ well-defined matrices up to morphism equality.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,12 +23,15 @@ from fpmod.fpmodule import (
     mor_eq,
     zero_module,
 )
+from fpmod.harness import SPAN, SUITES, HarnessConfig, _decode_morphisms, derived_seed
 from fpmod.homtensor import (
     _TRIAL_DIVISION_BOUND,
     _divisors,
+    _morphism_exists,
     _prime_factorization,
     _projective_by_invariants,
     _projective_by_split_search,
+    _solve_morphism,
     base_change,
     base_change_mor,
     hom_module,
@@ -35,6 +40,8 @@ from fpmod.homtensor import (
     tensor,
     tensor_mor,
 )
+from fpmod.purity import find_retraction, has_retraction
+from fpmod.pushout import pushout
 from fpmod.rings import ZZ, QQ, ZI, Fp, Zmod, ring_map
 
 
@@ -240,3 +247,70 @@ def test_prime_factorization_past_the_trial_bound():
         _prime_factorization(p * q)
     with pytest.raises(FactorizationTooHard):
         _prime_factorization(6 * p * p)
+
+
+# ---------------------------------------------------------------------------
+# the morphism-equation verdict against the solver
+
+
+def _elem(rng, ring):
+    if ring == QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if ring == ZI:
+        return (rng.randint(-3, 3), rng.randint(-3, 3))
+    return ring.from_int(rng.randint(-6, 6))
+
+
+def _rand_mat(rng, ring, rows, cols):
+    if not rows or not cols:
+        return Mat.zeros(ring, rows, cols)
+    return Mat.from_rows(ring, [[_elem(rng, ring) for _ in range(cols)] for _ in range(rows)])
+
+
+def _equations(rng, ring):
+    """Arguments (src, tgt, L, R, C, mod) of seeded morphism equations:
+    a retraction, a section and a factorization, and a split search."""
+    M, N = (mk_module(ring, _rand_mat(rng, ring, g, rng.randint(0, g + 1)))
+            for g in (rng.randint(1, 3), rng.randint(1, 3)))
+    H = hom_module(M, N)
+    f = H.decode(_rand_mat(rng, ring, H.underlying.gens, 1)) if H.underlying.gens else None
+    IM, IN = Mat.identity(ring, M.gens), Mat.identity(ring, N.gens)
+    fmat = f.mat if f else _rand_mat(rng, ring, N.gens, M.gens)
+    A = M.rels
+    F = free_module(ring, M.gens)
+    return [
+        (N, M, IM, fmat, IM, M.rels),
+        (N, M, fmat, IN, IN, N.rels),
+        (M, N, IN, _rand_mat(rng, ring, M.gens, 2), _rand_mat(rng, ring, N.gens, 2), N.rels),
+        (F, free_module(ring, A.cols), A, A, A.neg(), F.rels),
+    ]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Fp(5), ZI, Zmod(12)], ids=str)
+def test_morphism_exists_agrees_with_the_solver(ring):
+    """The verdict stacks the equation rows first, the solver the
+    well-definedness rows: row order must not change whether a
+    morphism exists."""
+    rng = random.Random(f"morphism-exists:{ring}")
+    seen = {True: 0, False: 0}
+    for _ in range(25):
+        for args in _equations(rng, ring):
+            exists = _solve_morphism(*args) is not None
+            assert _morphism_exists(*args) is exists
+            seen[exists] += 1
+    assert seen[True] > 10 and seen[False] > 10
+
+
+def test_morphism_exists_on_the_heavy_domination_instance():
+    # harness seed 42, domination_cross_oracle #2: inr of the pushout has
+    # no retraction, and the 52x76 integer system that says so was the
+    # heaviest solve of that harness configuration
+    cfg = HarnessConfig(seed=42, trials=3)
+    gen, _ = SUITES["domination_cross_oracle"]
+    inst = gen(random.Random(derived_seed(cfg.seed, "domination_cross_oracle", 2)), cfg)
+    f, g = _decode_morphisms(inst, *SPAN)
+    inr = pushout(f, g).inr
+    I = Mat.identity(ZZ, inr.source.gens)
+    args = (inr.target, inr.source, I, inr.mat, I, inr.source.rels)
+    assert _solve_morphism(*args) is None and find_retraction(inr) is None
+    assert _morphism_exists(*args) is False and has_retraction(inr) is False

@@ -198,7 +198,13 @@ SOLVE_RINGS = [ZZ, QQ, Fp(5), ZI, Zmod(12), Zmod(8)]
 
 
 @pytest.mark.parametrize("ring", SOLVE_RINGS, ids=str)
-def test_solve_linear_matches_snf_oracle(ring):
+def test_solve_linear_matches_snf_oracle(ring, monkeypatch):
+    """solve_linear's X, and the verdict of solvable, which must never
+    replay an elimination log."""
+
+    def refuse(*args):
+        raise AssertionError("solvable replayed a log")
+
     rng = random.Random(f"solve:{ring}")
     seen = {True: 0, False: 0}
     for _ in range(120):
@@ -217,6 +223,9 @@ def test_solve_linear_matches_snf_oracle(ring):
         solvable = _snf_solvable(A, B)
         seen[solvable] += 1
         X = solve_linear(A, B)
+        with monkeypatch.context() as patched:
+            patched.setattr(nf, "_apply_transform", refuse)
+            assert nf.solvable(A, B) == solvable
         if solvable:
             assert X is not None and (X.rows, X.cols) == (c, m)
             assert A.mul(X) == B
@@ -225,6 +234,43 @@ def test_solve_linear_matches_snf_oracle(ring):
     if not ring.is_field:
         assert seen[False] > 0
     assert seen[True] > 0
+
+
+def test_elimination_stops_at_the_first_inconsistent_row(monkeypatch):
+    """Rows 0..k of the echelon form are the echelon form of A's first
+    k+1 rows, so a system is decided inconsistent at its first row that
+    the rows above do not already make so, and no row below it is
+    eliminated."""
+    yielded = []
+    echelon = nf._echelon
+
+    def counting(*args):
+        for rc in echelon(*args):
+            yielded.append(rc)
+            yield rc
+
+    monkeypatch.setattr(nf, "_echelon", counting)
+    for ring in SOLVE_RINGS:
+        rng = random.Random(f"early-stop:{ring}")
+        for k in range(1, 5):
+            # k rows with a solution, then a row that sums them with a
+            # right-hand side one off, then rows that never get reached
+            rows = [[_rand_entry(rng, ring) for _ in range(5)] for _ in range(k)]
+            X0 = Mat.from_rows(ring, [[_rand_entry(rng, ring)] for _ in range(5)])
+            top = Mat.from_rows(ring, rows)
+            B = top.mul(X0)
+            ones = Mat.from_rows(ring, [[ring.one()] * k])
+            bad = ones.mul(top)
+            bad_rhs = ones.mul(B).add(Mat.from_rows(ring, [[ring.one()]]))
+            tail = Mat.from_rows(ring, [[_rand_entry(rng, ring) for _ in range(6)] for _ in range(3)])
+            A = top.vstack(bad).vstack(tail.select_columns(range(5)))
+            B = B.vstack(bad_rhs).vstack(tail.select_columns([5]))
+            for decide in (nf.solvable, solve_linear):
+                yielded.clear()
+                assert decide(A, B) in (False, None)
+                rows_seen = [r for r, _ in yielded]
+                # over Z/n the lift appends ideal columns, not rows
+                assert rows_seen == list(range(k + 1))
 
 
 def _echelon_pivot_rows(H):
@@ -387,7 +433,7 @@ def test_solve_linear_zero_rhs_is_zero_without_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("a zero right-hand side was eliminated")
 
-    monkeypatch.setattr(nf, "_hnf_rows", refuse)
+    monkeypatch.setattr(nf, "_echelon", refuse)
     for ring in [ZZ, QQ, Fp(5), ZI, Zmod(12)]:
         rng = random.Random(f"zero-rhs:{ring}")
         shapes = [(3, 4, 2), (4, 2, 1), (0, 3, 2), (3, 0, 2), (3, 4, 0), (0, 0, 1)]

@@ -60,6 +60,9 @@ def test_induced_map_and_uniqueness():
     # non-commuting cocone is rejected
     with pytest.raises(SquareDoesNotCommute):
         pushout_induced(P, P.inl, zero_morphism(Z, P.object))
+    # u and v need a common target, which w's witness lives in
+    with pytest.raises(SourceMismatch, match="common target"):
+        pushout_induced(P, P.inl, zero_morphism(Z, Z))
 
 
 def test_induced_map_unique_mod_equality():

@@ -35,7 +35,7 @@ from fpmod.harness import SUITES, HarnessConfig, _run_one
 from fpmod.homtensor import base_change_mor, hom_module, is_flat, tensor_mor
 from fpmod.matrix import Mat
 from fpmod.purity import find_retraction, solve_factor, solve_section
-from fpmod.pushout import pushout
+from fpmod.pushout import pushout, pushout_induced
 from fpmod.rings import QQ, ZI, ZZ, Fp, Zmod, ring_map
 
 RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(5)": Fp(5), "ZI": ZI, "Z/12": Zmod(12)}
@@ -120,6 +120,21 @@ def test_closed_form_witnesses_are_certificates(name):
                 assert_certified(mor)
                 solved += 1
     assert solved >= 12
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_pushout_induced_witness_is_a_certificate(name):
+    # w = [u | v] carries [w_u | w_v | y] for the y of its one solve
+    ring = RINGS[name]
+    rng = random.Random(f"induced:{name}")
+    for M, N, P, f, g, h, sub in _inputs(ring, 12):
+        Po = pushout(f, h)
+        k = _rand_morphism(rng, Po.object, _rand_module(rng, ring))
+        for u, v in ((Po.inl, Po.inr), (compose(k, Po.inl), compose(k, Po.inr))):
+            w = pushout_induced(Po, u, v)
+            assert_certified(w)
+            assert w.mat == u.mat.hstack(v.mat)
+        assert fp.mor_eq(w, k)
 
 
 def _record_morphisms(monkeypatch):

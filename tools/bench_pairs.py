@@ -4,13 +4,14 @@ Each side is a separate checkout of the repository.  For every pair the
 same `perfbench/run.py --trace 0` command runs once in each checkout on
 the same seed, for the run_seconds that BENCHMARK.json sets, and the side
 that runs first alternates from pair to pair.
-Every run's result line (the last stdout line of run.py) is kept, and each
+Every run's exit code and result line (the last stdout line of run.py)
+are kept; a run that exits nonzero is kept with no result.  Each
 end-to-end metric is summarized over the pairs: both sides' medians and
 ranges, the change/parent ratio of the medians, the parent's
 interquartile distance, and in how many pairs the change was better.
 The summary's "outcomes" entry gives each side's totals over its runs:
-inputs attempted and failed, the failed share, and how many runs
-reported correct.
+runs that exited nonzero, inputs attempted and failed, the failed share,
+and how many runs reported correct.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --plan harness-tail:10:201 --plan harness-broad:5:101 \\
@@ -36,10 +37,15 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seed, seconds):
+    """(exit code, result): the result is the last stdout line of run.py,
+    or None when the run exited nonzero."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr[-2000:])
+        return proc.returncode, None
+    return 0, json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def run_pairs(dirs, workload, seeds, seconds, runs, save):
@@ -47,24 +53,28 @@ def run_pairs(dirs, workload, seeds, seconds, runs, save):
     for pair, seed in enumerate(seeds, start=first):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_once(dirs[side], workload, seed, seconds)
-            runs.append({"pair": pair, "side": side, "seed": seed,
-                         "ran_first": side == order[0], "result": result})
+            code, result = run_once(dirs[side], workload, seed, seconds)
+            runs.append({"pair": pair, "side": side, "seed": seed, "ran_first": side == order[0],
+                         "exit_code": code, "result": result})
             save()
-            m = result["metrics"]
-            print(f"{workload} pair {pair} seed {seed} {side}: "
-                  f"{m['throughput_per_s']['value']:.1f}/s failed {result['failed']}", flush=True)
+            done = (f"{result['metrics']['throughput_per_s']['value']:.1f}/s "
+                    f"failed {result['failed']}" if result else f"exited {code}")
+            print(f"{workload} pair {pair} seed {seed} {side}: {done}", flush=True)
 
 
 def outcomes(runs):
-    """Per side: runs, inputs attempted and failed, failed share, correct runs."""
+    """Per side: runs, runs that exited nonzero, inputs attempted and
+    failed, failed share, correct runs.  A run that exited nonzero has
+    no result, so it counts as failed and not as correct."""
     out = {}
     for side in SIDES:
-        results = [r["result"] for r in runs if r["side"] == side]
+        side_runs = [r for r in runs if r["side"] == side]
+        results = [r["result"] for r in side_runs if r["result"] is not None]
         attempted = sum(res["attempted"] for res in results)
         failed = sum(res["failed"] for res in results)
         out[side] = {
-            "runs": len(results),
+            "runs": len(side_runs),
+            "failed_runs": len(side_runs) - len(results),
             "attempted": attempted,
             "failed": failed,
             "failed_share": failed / attempted if attempted else None,
@@ -77,7 +87,7 @@ def summarize(runs, better):
     """Per metric: medians, ranges and quartile spread of each side, and
     wins; under "outcomes", each side's attempted/failed/correct totals."""
     pairs = sorted({r["pair"] for r in runs})
-    value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs}
+    value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs if r["result"]}
     out = {"outcomes": outcomes(runs)}
     for name, direction in better.items():
         vals = {side: [value[p, side][name]["value"] for p in pairs if (p, side) in value]
