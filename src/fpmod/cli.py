@@ -31,14 +31,12 @@ from .jsonio import (
 )
 
 
-def _need(doc, kind, name=None):
-    """Fetch a named object of the given kind, defaulting to the sole one."""
+def _need(doc, kind):
+    """The sole object of the given kind."""
     table = getattr(doc, kind)
-    if name is not None:
-        return getattr(doc, kind[:-1] if kind != "towers" else "tower")(name)
     if len(table) == 1:
         return next(iter(table.values()))
-    raise InputError(f"need exactly one entry in {kind!r} (or a name); got {len(table)}")
+    raise InputError(f"need exactly one entry in {kind!r}; got {len(table)}")
 
 
 def _two_morphisms(doc):
@@ -284,7 +282,6 @@ def build_parser():
     p.add_argument("--max-gens", type=int, default=3)
     p.add_argument("--max-entry", type=int, default=6)
     p.add_argument("--rings", default=",".join(_harness.DEFAULT_RINGS))
-    p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--suites", default=None, help="comma-separated subset of suites")
     p.add_argument("--output", choices=["json"], default="json")
     return parser
@@ -319,7 +316,6 @@ def run_command(argv):
                 max_gens=args.max_gens,
                 max_entry=args.max_entry,
                 rings=rings,
-                parallelism=args.parallelism,
             )
             report, code = _harness.run_harness(cfg, suites)
             print(_harness.report_json(report))

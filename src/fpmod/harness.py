@@ -3,9 +3,9 @@
 Every suite is a pure function from a raw instance (plain dict of integer
 matrices) to a pass/fail/invalid verdict.  Instances are generated from
 per-(suite, index) derived seeds, so the stream is independent of
-evaluation order and parallelism degree; the report is aggregated by
-instance index and contains no timing data (wall-clock goes to stderr),
-making it byte-identical across runs.
+evaluation order; the report is aggregated by instance index and contains
+no timing data (wall-clock goes to stderr), making it byte-identical
+across runs.
 
 On failure the instance is shrunk: entry halving first, then generator
 (row) deletion, then relation (column) deletion, first success order,
@@ -16,7 +16,6 @@ import hashlib
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -44,7 +43,6 @@ class HarnessConfig:
     max_gens: int = 4
     max_entry: int = 10
     rings: tuple = DEFAULT_RINGS
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.trials < 0:
@@ -53,8 +51,6 @@ class HarnessConfig:
             raise FpmodError("max_gens must be in 1..4")
         if not 1 <= self.max_entry <= 10:
             raise FpmodError("max_entry must be in 1..10")
-        if self.parallelism < 1:
-            raise FpmodError("parallelism must be >= 1")
         if not self.rings:
             raise FpmodError("rings must name at least one ring")
 
@@ -578,18 +574,12 @@ def _run_one(suite, index, cfg):
         verdict = check(inst)
     except FpmodError as exc:
         return {"index": index, "error": type(exc).__name__, "detail": str(exc), "instance": inst}
-    except AssertionError as exc:
+    except AssertionError:
         verdict = False
     if verdict is False:
         small = shrink(inst, check)
         return {"index": index, "instance": inst, "shrunk": small}
     return None
-
-
-def _timed_run_one(cfg, task):
-    started = time.monotonic()
-    res = _run_one(task[0], task[1], cfg)
-    return res, time.monotonic() - started
 
 
 _SLOWEST_SHOWN = 5
@@ -601,22 +591,17 @@ def run_harness(cfg, suites=None):
     Wall-clock times, the total and the slowest instances, go to stderr.
     """
     names = sorted(suites or SUITES)
-    tasks = [(s, i) for s in names for i in range(cfg.trials)]
+    by_suite = {s: {"trials": cfg.trials, "failures": []} for s in names}
+    timings = []
     started = time.monotonic()
-    run = partial(_timed_run_one, cfg)
-    if cfg.parallelism > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as ex:
-            timed = list(ex.map(run, tasks))
-    else:
-        timed = [run(t) for t in tasks]
+    for s in names:
+        for i in range(cfg.trials):
+            t0 = time.monotonic()
+            res = _run_one(s, i, cfg)
+            timings.append((time.monotonic() - t0, s, i))
+            if res is not None:
+                by_suite[s]["failures"].append(res)
     elapsed = time.monotonic() - started
-    results = [res for res, _ in timed]
-    by_suite = {
-        s: {"trials": cfg.trials, "failures": []} for s in names
-    }
-    for (s, _i), res in sorted(zip(tasks, results), key=lambda p: (p[0][0], p[0][1])):
-        if res is not None:
-            by_suite[s]["failures"].append(res)
     total = sum(len(v["failures"]) for v in by_suite.values())
     report = {
         "seed": str(cfg.seed),
@@ -627,13 +612,8 @@ def run_harness(cfg, suites=None):
         "suites": by_suite,
         "failures_total": total,
     }
-    print(
-        f"harness: {len(tasks)} instances in {elapsed:.2f}s "
-        f"(parallelism {cfg.parallelism})",
-        file=sys.stderr,
-    )
-    slowest = sorted(zip(tasks, timed), key=lambda p: -p[1][1])[:_SLOWEST_SHOWN]
-    for (s, i), (_res, seconds) in slowest:
+    print(f"harness: {len(timings)} instances in {elapsed:.2f}s", file=sys.stderr)
+    for seconds, s, i in sorted(timings, key=lambda t: -t[0])[:_SLOWEST_SHOWN]:
         print(f"harness: slow instance {s} #{i} {seconds:.3f}s", file=sys.stderr)
     return report, (0 if total == 0 else 1)
 

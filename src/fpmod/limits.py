@@ -30,7 +30,6 @@ from .fpmodule import (
     kernel,
     identity_morphism,
     mor_eq,
-    mor_power,
     sub_eq,
 )
 from .purity import solve_factor
@@ -74,13 +73,14 @@ def tower_ml_check(T, horizon):
     if horizon < 1:
         raise PreconditionViolation("horizon must be >= 1")
     M = T.object
+    sj = identity_morphism(T.step.source)
     for j in range(horizon + 1):
-        sj = mor_power(T.step, j)
         sj1 = compose(T.step, sj)
         h = solve_factor(M, M, sj1.mat, sj.mat)
         if h is not None:
             assert mor_eq(compose(h, sj1), sj)
             return MLVerdict(ML, horizon, witness_level=j, witness=h)
+        sj = sj1
     return MLVerdict(UNKNOWN, horizon)
 
 
@@ -92,9 +92,11 @@ def inverse_tower_stabilization(T, horizon):
     """
     if horizon < 1:
         raise PreconditionViolation("horizon must be >= 1")
-    prev = image(mor_power(T.step, 0))
+    power = identity_morphism(T.step.source)
+    prev = image(power)
     for k in range(horizon + 1):
-        nxt = image(mor_power(T.step, k + 1))
+        power = compose(T.step, power)
+        nxt = image(power)
         if sub_eq(prev, nxt):
             return MLVerdict(ML, horizon, stabilization_level=k)
         prev = nxt

@@ -1,8 +1,8 @@
 """Immutable exact matrices over a RingDesc.
 
 Entries are stored row-major in a tuple and kept canonical.  All
-operations return fresh matrices; nothing here mutates, which is what
-makes the property harness safe to parallelize.
+operations return fresh matrices; nothing here mutates, so one matrix
+can be shared by modules, morphisms and witnesses without copies.
 """
 
 from dataclasses import dataclass, field

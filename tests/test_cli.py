@@ -204,6 +204,12 @@ def test_unknown_suite_exit2(capsys):
     assert code == 2
 
 
+def test_harness_has_no_parallelism_option(capsys):
+    code = run_command(["harness", "--trials", "0", "--parallelism", "2"])
+    assert code == 2
+    assert "--parallelism" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["IntegersMod(x)", "PrimeField()", "Integers(7)", "Reals"])
 def test_harness_bad_ring_name_exit2(capsys, name):
     code, out = run(capsys, ["harness", "--trials", "1", "--rings", f"Integers,{name}"])

@@ -76,19 +76,41 @@ def test_induced_map_unique_mod_equality():
     assert mor_eq(w, identity_morphism(P.object))
 
 
-@pytest.mark.parametrize("target", ["Rationals", "GaussianIntegers", "IntegersMod4"])
-def test_base_change_compatibility(target):
-    from fpmod.rings import RingDesc
+BASE_CHANGES = {
+    "Rationals": ring_map(ZZ, QQ),
+    "GaussianIntegers": ring_map(ZZ, ZI),
+    "IntegersMod4": ring_map(ZZ, Zmod(4)),
+}
 
-    phi = {
-        "Rationals": ring_map(ZZ, QQ),
-        "GaussianIntegers": ring_map(ZZ, ZI),
-        "IntegersMod4": ring_map(ZZ, Zmod(4)),
-    }[target]
+
+def _span():
     Z = free_module(ZZ, 1)
     f = mk_morphism(Z, cyc(4), Mat.from_ints(ZZ, [[3]]))
     g = mk_morphism(Z, cyc(6), Mat.from_ints(ZZ, [[2]]))
-    assert pushout_base_change_check(phi, f, g)
+    return f, g
+
+
+@pytest.mark.parametrize("target", sorted(BASE_CHANGES))
+def test_base_change_compatibility(target):
+    assert pushout_base_change_check(BASE_CHANGES[target], *_span())
+
+
+@pytest.mark.parametrize("target", sorted(BASE_CHANGES))
+def test_base_change_check_rejects_corrupted_relations(monkeypatch, target):
+    """One relation entry of the base-changed pushout moved by 1: the
+    presentations differ, so the check fails."""
+    from fpmod import pushout as po
+
+    original = po.base_change
+
+    def corrupted(phi, M):
+        out = original(phi, M)
+        bump = Mat.from_ints(out.ring, [[int(i == j == 0) for j in range(out.rels.cols)]
+                                        for i in range(out.rels.rows)])
+        return mk_module(out.ring, out.rels.add(bump))
+
+    monkeypatch.setattr(po, "base_change", corrupted)
+    assert not pushout_base_change_check(BASE_CHANGES[target], *_span())
 
 
 def test_pushout_over_zmod():
