@@ -264,6 +264,9 @@ COMMANDS = {
     "projchar": cmd_projchar,
 }
 
+# the subcommands that search a tower up to a horizon
+_TOWER_COMMANDS = ("ml-tower", "inv-stab", "tower-lift")
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -274,8 +277,8 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="JSON input document")
-        p.add_argument("--horizon", type=int, default=20)
-        p.add_argument("--output", choices=["json"], default="json")
+        if name in _TOWER_COMMANDS:
+            p.add_argument("--horizon", type=int, default=20)
     p = sub.add_parser("harness")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=25)
@@ -283,7 +286,6 @@ def build_parser():
     p.add_argument("--max-entry", type=int, default=6)
     p.add_argument("--rings", default=",".join(_harness.DEFAULT_RINGS))
     p.add_argument("--suites", default=None, help="comma-separated subset of suites")
-    p.add_argument("--output", choices=["json"], default="json")
     return parser
 
 

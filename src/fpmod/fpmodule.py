@@ -14,8 +14,8 @@ HomModule.decode.  Every morphism the package builds itself gets its
 witness by construction, in closed form: compose, identity_morphism,
 zero_morphism, quotient_by (and so cokernel), present_submodule (and
 so kernel) and direct_sum here; pushout, pushout_induced,
-base_change_mor, tensor_mor, is_flat, summand_devissage and the
-morphism-equation solver (homtensor._solve_morphism) elsewhere.
+base_change_mor, tensor_mor, is_flat and the morphism-equation
+solver (homtensor._solve_morphism) elsewhere.
 
 Equality of morphisms, membership, containment and the zero tests only
 need a verdict, so they call normal_forms.solvable, which builds no

@@ -142,11 +142,6 @@ class InputDoc:
         self.towers = towers or {}
         self.params = params or {}
 
-    def module(self, name):
-        if name not in self.modules:
-            raise InputError(f"unknown module {name!r}")
-        return self.modules[name]
-
     def morphism(self, name):
         if name not in self.morphisms:
             raise InputError(f"unknown morphism {name!r}")
@@ -175,22 +170,23 @@ def _decode_module(ring, doc, where):
     return mk_module(ring, decode_mat(ring, doc, where))
 
 
+def _resolve_module(ring, spec, modules, where):
+    """The module named by spec, or the module spec describes inline."""
+    if isinstance(spec, str):
+        if spec not in modules:
+            raise InputError(f"{where}: unknown module {spec!r}")
+        return modules[spec]
+    return _decode_module(ring, spec, where)
+
+
 def _decode_morphism(ring, doc, modules, where):
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object")
     for field in ("source", "target", "matrix"):
         if field not in doc:
             raise InputError(f"{where}: missing field {field!r}")
-
-    def resolve(spec, w):
-        if isinstance(spec, str):
-            if spec not in modules:
-                raise InputError(f"{w}: unknown module {spec!r}")
-            return modules[spec]
-        return _decode_module(ring, spec, w)
-
-    src = resolve(doc["source"], where + ".source")
-    tgt = resolve(doc["target"], where + ".target")
+    src = _resolve_module(ring, doc["source"], modules, where + ".source")
+    tgt = _resolve_module(ring, doc["target"], modules, where + ".target")
     mat = decode_mat(ring, doc["matrix"], where + ".matrix", rows=tgt.gens, cols=src.gens)
     return mk_morphism(src, tgt, mat)
 
@@ -213,12 +209,7 @@ def _decode_tower(ring, doc, modules, morphisms, where):
         obj_spec = doc.get("object")
         if obj_spec is None:
             raise InputError(f"{where}: missing field 'object'")
-        if isinstance(obj_spec, str):
-            if obj_spec not in modules:
-                raise InputError(f"{where}.object: unknown module {obj_spec!r}")
-            obj = modules[obj_spec]
-        else:
-            obj = _decode_module(ring, obj_spec, where + ".object")
+        obj = _resolve_module(ring, obj_spec, modules, where + ".object")
         mat = decode_mat(ring, step_spec, where + ".step", rows=obj.gens, cols=obj.gens)
         step = mk_morphism(obj, obj, mat)
     return Tower(obj, step, direction)

@@ -99,3 +99,7 @@ def test_a_run_that_exits_nonzero_is_kept_and_counted_failed(tmp_path):
     assert out["outcomes"]["parent"]["failed_runs"] == 0
     assert out["outcomes"]["parent"]["attempted"] == 100
     assert "throughput_per_s" not in out  # no pair has both sides
+
+
+def test_git_revision_is_none_outside_a_checkout(tmp_path):
+    assert bench_pairs.git_revision(str(tmp_path)) is None

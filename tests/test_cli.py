@@ -64,6 +64,20 @@ def test_decode_input_validates_references():
         )
 
 
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        ({"morphisms": {"f": {"source": "X", "target": "M", "matrix": [["1"]]}}}, "morphisms.f.source"),
+        ({"morphisms": {"f": {"source": "M", "target": "X", "matrix": [["1"]]}}}, "morphisms.f.target"),
+        ({"towers": {"T": {"object": "X", "step": [["1"]]}}}, "towers.T.object"),
+    ],
+)
+def test_unknown_module_is_named_where_it_is_referenced(entry, where):
+    doc = {"ring": {"kind": "Integers"}, "modules": {"M": {"generators": "1"}}, **entry}
+    with pytest.raises(InputError, match=rf"^{where}: unknown module 'X'$"):
+        decode_input(doc)
+
+
 def test_snf_subcommand(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -208,6 +222,21 @@ def test_harness_has_no_parallelism_option(capsys):
     code = run_command(["harness", "--trials", "0", "--parallelism", "2"])
     assert code == 2
     assert "--parallelism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snf", "--input", "in.json", "--horizon", "3"],
+        ["snf", "--input", "in.json", "--output", "json"],
+        ["harness", "--trials", "0", "--output", "json"],
+    ],
+    ids=["snf-horizon", "snf-output", "harness-output"],
+)
+def test_options_nothing_reads_are_refused(capsys, argv):
+    # --horizon belongs to ml-tower, inv-stab and tower-lift only
+    assert run_command(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["IntegersMod(x)", "PrimeField()", "Integers(7)", "Reals"])

@@ -1,6 +1,9 @@
 """Filtrations, internal direct sums, summand devissage, and cyclic
 decompositions of projectives."""
 
+import hashlib
+import random
+
 import pytest
 
 from fpmod import devissage
@@ -26,6 +29,7 @@ from fpmod.devissage import (
     validate_decomposition,
     validate_filtration,
 )
+from fpmod.harness import HarnessConfig, _decode_devissage, _gen_devissage
 from fpmod.rings import ZZ, Zmod
 
 
@@ -163,6 +167,50 @@ def test_summand_devissage_mixing_idempotent():
     out = summand_devissage(D, e)
     assert out.ambient.invariants() == ((), 1)  # im(e) is free of rank 1
     assert validate_decomposition(out)
+
+
+def test_summand_devissage_three_parts_with_an_intermediate_stage():
+    """M = Z + Z + Z/3.  e mixes the two free parts (e(x,y,z) = (0,2x+y,z))
+    and fixes the torsion part, so the stages are {}, {0,1}, {0,1,2}.
+    The first part alone is not closed under e, and e of it, 2Z, has no
+    complement in e of the next stage, Z."""
+    M = mk_module(ZZ, Mat.from_ints(ZZ, [[0], [0], [3]]))
+    parts = tuple(SubmoduleRep(M, Mat.identity(ZZ, 3).select_columns([i])) for i in range(3))
+    D = InternalDecomposition(M, parts)
+    e = mk_morphism(M, M, Mat.from_ints(ZZ, [[0, 0, 0], [2, 1, 0], [0, 0, 1]]))
+    out = summand_devissage(D, e)
+    assert validate_decomposition(out)
+    assert out.ambient.invariants() == ((3,), 1)
+    assert [present_submodule(out.ambient, p.gens_mat)[0].invariants() for p in out.parts] == [
+        ((), 1),
+        ((3,), 0),
+    ]
+
+
+def _criterion_6_instances(count):
+    """The first `count` summand-devissage inputs of acceptance criterion 6."""
+    cfg = HarnessConfig(seed=606, trials=1)
+    idx = 0
+    while count:
+        decoded = _decode_devissage(_gen_devissage(random.Random(60600 + idx), cfg))
+        idx += 1
+        if decoded is None or not validate_decomposition(decoded[0]):
+            continue
+        count -= 1
+        yield decoded
+
+
+def test_summand_devissage_parts_digest():
+    """The number of parts and each part's invariants, over the first 100
+    criterion-6 instances.  Relative complements are not unique, so the
+    parts themselves are not pinned, only what does not depend on them."""
+    h = hashlib.sha256()
+    for D, e in _criterion_6_instances(100):
+        out = summand_devissage(D, e)
+        key = [len(out.parts)]
+        key += [repr(present_submodule(out.ambient, p.gens_mat)[0].invariants()) for p in out.parts]
+        h.update(repr(key).encode())
+    assert h.hexdigest() == "2f4c7c354988ecb03b4f190dc791cdacd976d40e5e91ef2e12a3001aeae5fa9b"
 
 
 def test_summand_devissage_rejects_non_idempotent():

@@ -151,8 +151,9 @@ def _record_morphisms(monkeypatch):
 
 
 def test_internal_witnesses_are_certificates(monkeypatch):
-    # the quotient map of relative_complement, id - e in summand_devissage,
-    # and multiplication by d in is_flat
+    # the quotient map of relative_complement, the inclusions and quotient
+    # maps that summand_devissage builds (it builds no id - e), and
+    # multiplication by d in is_flat
     M = mk_module(ZZ, Mat.from_ints(ZZ, [[2, 0], [0, 3], [0, 0]]))
     parts = tuple(SubmoduleRep(M, Mat.identity(ZZ, 3).select_columns([i])) for i in range(3))
     A = SubmoduleRep(M, parts[0].gens_mat)

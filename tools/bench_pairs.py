@@ -22,7 +22,8 @@ A plan is WORKLOAD:PAIRS:FIRST_SEED (seeds FIRST_SEED, FIRST_SEED+1, ...).
 change was written; they are kept and summarized apart.  The file is
 rewritten after every run, so an interrupted series keeps what it measured,
 and an existing file is extended: its runs stay and new pairs are numbered
-after them.  The file records the parent checkout's HEAD as the parent.
+after them.  The file records the parent checkout's HEAD as the parent, or
+null if the parent is not a git checkout.
 """
 
 import argparse
@@ -115,6 +116,17 @@ def summarize(runs, better):
     return out
 
 
+def git_revision(checkout):
+    """The short hash of the checkout's HEAD, or None if git cannot tell
+    (say, a `git archive` copy)."""
+    try:
+        out = subprocess.run(["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -136,9 +148,7 @@ def main(argv=None):
         with open(args.out) as fh:
             doc = json.load(fh)
     else:
-        parent_rev = subprocess.run(["git", "-C", dirs["parent"], "rev-parse", "--short", "HEAD"],
-                                    capture_output=True, text=True, check=True).stdout.strip()
-        doc = new_doc(args, parent_rev, seconds)
+        doc = new_doc(args, git_revision(dirs["parent"]), seconds)
 
     def save():
         for section in ("workloads", "confirmation"):
