@@ -24,7 +24,7 @@ from .fpmodule import (
     present_submodule,
     quotient_by,
     sub_eq,
-    sub_intersection,
+    sub_independent,
     sub_is_zero,
     sub_leq,
     sub_sum,
@@ -64,7 +64,7 @@ def _check_filtration(F):
         return False, "stage/complement length mismatch"
     if not sub_is_zero(F.stages[0]):
         return False, "zero_eq_bot"
-    if not sub_eq(F.stages[L], full_submodule(F.ambient)):
+    if not sub_leq(full_submodule(F.ambient), F.stages[L]):
         return False, "union_eq_top"
     for a in range(L):
         if not sub_leq(F.stages[a], F.stages[a + 1]):
@@ -73,9 +73,9 @@ def _check_filtration(F):
         C = F.complements[a]
         if not sub_leq(C, F.stages[a + 1]):
             return False, f"complement not below successor at {a}"
-        if not sub_is_zero(sub_intersection(F.stages[a], C)):
+        if not sub_independent((F.stages[a], C)):
             return False, f"complement not disjoint at {a}"
-        if not sub_eq(sub_sum(F.stages[a], C), F.stages[a + 1]):
+        if not sub_leq(F.stages[a + 1], sub_sum(F.stages[a], C)):
             return False, f"complement does not span successor at {a}"
     return True, None
 
@@ -92,16 +92,7 @@ def _check_decomposition(D):
     total = zero_submodule(D.ambient)
     for p in D.parts:
         total = sub_sum(total, p)
-    if not sub_eq(total, full_submodule(D.ambient)):
-        return False
-    for i, p in enumerate(D.parts):
-        others = zero_submodule(D.ambient)
-        for j, q in enumerate(D.parts):
-            if j != i:
-                others = sub_sum(others, q)
-        if not sub_is_zero(sub_intersection(p, others)):
-            return False
-    return True
+    return sub_leq(full_submodule(D.ambient), total) and sub_independent(D.parts)
 
 
 def filtration_to_decomposition(F):
@@ -133,7 +124,10 @@ def decomposition_to_filtration(D):
 
 def relative_complement(amb, A, B):
     """A relative complement of A inside B (both submodules of amb), found
-    by splitting the presented quotient B/A; None if no splitting exists."""
+    by splitting p: B -> B/A; None if no splitting exists.  C = s(B/A) for
+    the section s (solve_section asserts p o s = id), and B's presented
+    inclusion is injective.  So C meets A = ker p in 0, as x = s(q) in A
+    gives q = p(x) = 0, and A + C = B, as b - s(p(b)) lies in ker p."""
     Bmod, inclB = present_submodule(amb, B.gens_mat)
     AinB = solve_linear(B.gens_mat.hstack(amb.rels), A.gens_mat)
     if AinB is None:
@@ -143,12 +137,7 @@ def relative_complement(amb, A, B):
     s = solve_section(proj)
     if s is None:
         return None
-    C = SubmoduleRep(amb, inclB.mat.mul(s.mat))
-    if not sub_is_zero(sub_intersection(A, C)):
-        return None
-    if not sub_eq(sub_sum(A, C), B):
-        return None
-    return C
+    return SubmoduleRep(amb, inclB.mat.mul(s.mat))
 
 
 def _express_in_parts(amb, parts, x):

@@ -17,12 +17,14 @@ so kernel) and direct_sum here; pushout, pushout_induced,
 base_change_mor, tensor_mor, is_flat and the morphism-equation
 solver (homtensor._solve_morphism) elsewhere.
 
-Equality of morphisms, membership, containment and the zero tests only
+Equality of morphisms, membership, containment, the zero tests and the
+direct-sum test (sub_independent, one kernel for all the parts) only
 need a verdict, so they call normal_forms.solvable, which builds no
 solution.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import DimensionMismatch, NotWellDefined, RingMismatch, SourceMismatch
 from .matrix import Mat
@@ -207,18 +209,23 @@ def sub_sum(a, b):
     return SubmoduleRep(a.ambient, a.gens_mat.hstack(b.gens_mat))
 
 
-def sub_intersection(a, b):
-    """Generators of (span a + rels) meet (span b + rels), as a SubmoduleRep."""
-    amb = a.ambient
-    ra = amb.rels
-    # x = a*u + rels*s = b*v + rels*t  <=>  [a | rels | -b | -rels] kernel
-    big = a.gens_mat.hstack(ra).hstack(b.gens_mat.neg()).hstack(ra.neg())
-    K = kernel_matrix(big)
-    na, nr = a.gens_mat.cols, ra.cols
-    u = K.select_rows(range(na))
-    s = K.select_rows(range(na, na + nr))
-    gens = a.gens_mat.mul(u).add(ra.mul(s)) if K.cols else Mat.zeros(amb.ring, amb.gens, 0)
-    return SubmoduleRep(amb, gens.nonzero_columns())
+def sub_independent(parts):
+    """Is the sum of parts (submodules of one ambient) direct?  The columns
+    of K = kernel([rels | g_1 | ... | g_k]) generate the relations among
+    the parts' generators g_i, so the sum is direct iff each g_i*K_i (K_i:
+    K's rows for g_i) lies in the span of rels.  The last part needs no
+    check: g_k*K_k is minus the others modulo rels."""
+    if len(parts) < 2:
+        return True
+    rels = parts[0].ambient.rels
+    K = kernel_matrix(reduce(Mat.hstack, (p.gens_mat for p in parts), rels))
+    start = rels.cols
+    for p in parts[:-1]:
+        stop = start + p.gens_mat.cols
+        if not solvable(rels, p.gens_mat.mul(K.select_rows(range(start, stop)))):
+            return False
+        start = stop
+    return True
 
 
 def full_submodule(M):

@@ -17,6 +17,8 @@ from fpmod.fpmodule import (
     mk_morphism,
     present_submodule,
     sub_eq,
+    sub_independent,
+    sub_sum,
 )
 from fpmod.devissage import (
     InternalDecomposition,
@@ -70,6 +72,39 @@ def test_filtration_monotone_violation():
     F = KaplanskyFiltration(M, (bot, e1, e2, top), (e1, e2, top))
     ok, clause = validate_filtration(F)
     assert not ok and clause.startswith("monotone")
+
+
+def _z2_filtration(stages, complements):
+    """A filtration of Z^2 from names: 0, e1, e2, 2e2 and the whole module."""
+    M = free_module(ZZ, 2)
+    subs = {
+        "0": Mat.zeros(ZZ, 2, 0),
+        "e1": Mat.from_ints(ZZ, [[1], [0]]),
+        "e2": Mat.from_ints(ZZ, [[0], [1]]),
+        "2e2": Mat.from_ints(ZZ, [[0], [2]]),
+        "top": Mat.identity(ZZ, 2),
+    }
+    return KaplanskyFiltration(
+        M,
+        tuple(SubmoduleRep(M, subs[n]) for n in stages),
+        tuple(SubmoduleRep(M, subs[n]) for n in complements),
+    )
+
+
+@pytest.mark.parametrize(
+    "stages, complements, clause",
+    [
+        (("0", "top"), (), "stage/complement length mismatch"),
+        (("e1", "top"), ("e2",), "zero_eq_bot"),
+        (("0", "e1"), ("e1",), "union_eq_top"),
+        (("0", "e1", "top"), ("e2", "e2"), "complement not below successor at 0"),
+        (("0", "e1", "top"), ("e1", "top"), "complement not disjoint at 1"),
+        (("0", "e1", "top"), ("e1", "2e2"), "complement does not span successor at 1"),
+    ],
+    ids=["length", "zero", "top", "below", "disjoint", "span"],
+)
+def test_filtration_clause_named_exactly(stages, complements, clause):
+    assert validate_filtration(_z2_filtration(stages, complements)) == (False, clause)
 
 
 def _count_sub_sum(monkeypatch):
@@ -211,6 +246,28 @@ def test_summand_devissage_parts_digest():
         key += [repr(present_submodule(out.ambient, p.gens_mat)[0].invariants()) for p in out.parts]
         h.update(repr(key).encode())
     assert h.hexdigest() == "2f4c7c354988ecb03b4f190dc791cdacd976d40e5e91ef2e12a3001aeae5fa9b"
+
+
+def test_relative_complements_of_devissages_are_complements(monkeypatch):
+    """relative_complement checks nothing after its section: on the 300
+    criterion-6 devissages, every complement C of A in B it returns still
+    meets A in 0 and spans B with it."""
+    found = []
+    real = devissage.relative_complement
+
+    def recording(amb, A, B):
+        C = real(amb, A, B)
+        found.append((A, B, C))
+        return C
+
+    monkeypatch.setattr(devissage, "relative_complement", recording)
+    for D, e in _criterion_6_instances(300):
+        summand_devissage(D, e)
+    assert len(found) >= 250
+    for A, B, C in found:
+        assert C is not None
+        assert sub_independent((A, C))
+        assert sub_eq(sub_sum(A, C), B)
 
 
 def test_summand_devissage_rejects_non_idempotent():

@@ -1,5 +1,8 @@
 """Finitely presented modules, morphisms, kernels/cokernels, submodules."""
 
+import random
+from functools import reduce
+
 import pytest
 
 from fpmod.errors import NotWellDefined, SourceMismatch
@@ -24,11 +27,12 @@ from fpmod.fpmodule import (
     present_submodule,
     quotient_by,
     sub_eq,
-    sub_intersection,
+    sub_independent,
     sub_sum,
     zero_morphism,
     zero_submodule,
 )
+from fpmod.harness import DEFAULT_RINGS, parse_ring_name
 from fpmod.rings import ZZ, QQ, Zmod
 
 
@@ -120,21 +124,46 @@ def test_submodule_lattice():
     M = free_module(ZZ, 2)
     e1 = SubmoduleRep(M, Mat.from_ints(ZZ, [[1], [0]]))
     e2 = SubmoduleRep(M, Mat.from_ints(ZZ, [[0], [1]]))
-    from fpmod.fpmodule import sub_is_zero
-
     assert sub_eq(sub_sum(e1, e2), full_submodule(M))
-    assert sub_is_zero(sub_intersection(e1, e2))
+    assert sub_independent((e1, e2))
     assert member(e1, Mat.from_ints(ZZ, [[3], [0]]))
     assert not member(e1, Mat.from_ints(ZZ, [[0], [1]]))
 
 
-def test_submodule_intersection_nontrivial():
+def test_submodule_sum_not_direct():
+    # 4Z and 6Z meet in 12Z
     M = free_module(ZZ, 1)
     a = SubmoduleRep(M, Mat.from_ints(ZZ, [[4]]))
     b = SubmoduleRep(M, Mat.from_ints(ZZ, [[6]]))
-    inter = sub_intersection(a, b)
-    lcm = SubmoduleRep(M, Mat.from_ints(ZZ, [[12]]))
-    assert sub_eq(inter, lcm)
+    assert not sub_independent((a, b))
+    assert sub_independent((a,)) and sub_independent(())
+
+
+def _rand_rows(rng, rows, cols, bound):
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("ring_name", DEFAULT_RINGS + ("IntegersMod(12)",))
+def test_sub_independent_against_presentations(ring_name):
+    """The sum map from the outer direct sum of the parts onto their sum
+    is surjective, so it is an isomorphism iff the two presented modules
+    are isomorphic: a surjective endomorphism of a finitely generated
+    module is injective (Matsumura, Commutative Ring Theory, Thm 2.4)."""
+    ring = parse_ring_name(ring_name)
+    rng = random.Random(f"sub_independent:{ring_name}")
+    not_direct = 0
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        M = mk_module(ring, Mat.from_ints(ring, _rand_rows(rng, n, rng.randint(0, n), 4)))
+        gens = [Mat.from_ints(ring, _rand_rows(rng, n, rng.randint(0, 2), 3))
+                for _ in range(rng.randint(2, 3))]
+        presented = [present_submodule(M, g)[0] for g in gens]
+        outer = reduce(lambda S, P: direct_sum(S, P)[0], presented)
+        inner, _ = present_submodule(M, reduce(Mat.hstack, gens))
+        direct = sub_independent(tuple(SubmoduleRep(M, g) for g in gens))
+        assert direct == is_iso(outer, inner)
+        not_direct += not direct
+    assert not_direct >= 50
 
 
 def test_present_submodule():
