@@ -7,7 +7,6 @@ of valid input).
 """
 
 import argparse
-import os
 import sys
 
 from .errors import FpmodError, InputError, InternalError
@@ -280,7 +279,7 @@ def build_parser():
         if name in _TOWER_COMMANDS:
             p.add_argument("--horizon", type=int, default=20)
     p = sub.add_parser("harness")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--max-gens", type=int, default=3)
     p.add_argument("--max-entry", type=int, default=6)
@@ -298,9 +297,6 @@ def run_command(argv):
 
     try:
         if args.command == "harness":
-            seed = args.seed
-            if seed is None:
-                seed = int(os.environ.get("FPMOD_SEED", "0"))
             rings = tuple(r for r in args.rings.split(",") if r)
             for r in rings:
                 _harness.parse_ring_name(r)  # validate early
@@ -313,7 +309,7 @@ def run_command(argv):
                 if unknown:
                     raise InputError(f"unknown suites: {unknown}")
             cfg = _harness.HarnessConfig(
-                seed=seed,
+                seed=args.seed,
                 trials=args.trials,
                 max_gens=args.max_gens,
                 max_entry=args.max_entry,

@@ -17,7 +17,7 @@ so kernel) and direct_sum here; pushout, pushout_induced,
 base_change_mor, tensor_mor, is_flat and the morphism-equation
 solver (homtensor._solve_morphism) elsewhere.
 
-Equality of morphisms, membership, containment, the zero tests and the
+Equality of morphisms, containment, the zero tests and the
 direct-sum test (sub_independent, one kernel for all the parts) only
 need a verdict, so they call normal_forms.solvable, which builds no
 solution.
@@ -181,14 +181,6 @@ class SubmoduleRep:
     def __post_init__(self):
         if self.gens_mat.rows != self.ambient.gens:
             raise DimensionMismatch("submodule generators must live in ambient coordinates")
-
-
-def member(sub, x):
-    """Is x (a column in ambient coordinates) in the span of sub + relations?"""
-    if x.rows != sub.ambient.gens or x.cols != 1:
-        raise DimensionMismatch("element has wrong shape for ambient module")
-    A = sub.gens_mat.hstack(sub.ambient.rels)
-    return solvable(A, x)
 
 
 def sub_leq(a, b):

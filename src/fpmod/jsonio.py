@@ -154,20 +154,26 @@ class InputDoc:
 
 
 def _decode_module(ring, doc, where):
-    if isinstance(doc, dict):
-        mring = decode_ring(doc["ring"], where + ".ring") if "ring" in doc else ring
-        rels_doc = doc.get("relations")
-        gens = doc.get("generators")
-        if rels_doc is None:
-            if gens is None:
-                raise InputError(f"{where}: need 'relations' (or 'generators' for free)")
-            n = _parse_int(gens, where + ".generators")
-            return mk_module(mring, Mat.zeros(mring, n, 0))
-        if gens is not None and (not rels_doc):
-            n = _parse_int(gens, where + ".generators")
-            return mk_module(mring, Mat.zeros(mring, n, 0))
-        return mk_module(mring, decode_mat(mring, rels_doc, where + ".relations"))
-    return mk_module(ring, decode_mat(ring, doc, where))
+    """A module from a relation matrix, or from an object with 'relations'
+    and/or 'generators'.  Absent or empty relations give the free module
+    on 'generators'; given both, the row count must equal 'generators'."""
+    if not isinstance(doc, dict):
+        return mk_module(ring, decode_mat(ring, doc, where))
+    mring = decode_ring(doc["ring"], where + ".ring") if "ring" in doc else ring
+    rels_doc = doc.get("relations")
+    n = None
+    if doc.get("generators") is not None:
+        n = _parse_int(doc["generators"], where + ".generators")
+        if n < 0:
+            raise InputError(f"{where}.generators: {n} is negative")
+    if rels_doc is None or rels_doc == []:
+        if n is None:
+            raise InputError(f"{where}: need 'relations' (or 'generators' for free)")
+        return mk_module(mring, Mat.zeros(mring, n, 0))
+    rels = decode_mat(mring, rels_doc, where + ".relations")
+    if n is not None and rels.rows != n:
+        raise InputError(f"{where}.generators: {n} generators, but 'relations' has {rels.rows} rows")
+    return mk_module(mring, rels)
 
 
 def _resolve_module(ring, spec, modules, where):

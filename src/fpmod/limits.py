@@ -183,9 +183,6 @@ class FiniteDirectedSystem:
     objects: tuple  # FpModule per index
     maps: dict  # (i, j) -> Morphism
 
-    def related(self, i, j):
-        return (i, j) in set(self.leq)
-
 
 def _check_system(S):
     rel = set(S.leq)

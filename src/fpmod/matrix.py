@@ -64,9 +64,6 @@ class Mat:
     def col_mat(self, j):
         return Mat(self.ring, self.rows, 1, tuple(self.col(j)))
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 

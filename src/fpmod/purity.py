@@ -165,10 +165,6 @@ def dominates_via_pushout(f, g):
     return has_retraction(P.inr)
 
 
-def mutually_dominate(f, g):
-    return dominates(f, g).dominates and dominates(g, f).dominates
-
-
 def purity_descends(phi, f):
     """Check that purity of the base-changed map implies purity of f.
 

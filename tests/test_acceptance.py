@@ -23,7 +23,6 @@ from fpmod.fpmodule import (
     mk_module,
     mk_morphism,
     mor_eq,
-    present_submodule,
     zero_morphism,
 )
 from fpmod import homtensor
@@ -268,10 +267,7 @@ def test_criterion_6_devissage():
         if done_rt < 300:
             F = decomposition_to_filtration(D)
             D2 = filtration_to_decomposition(F)
-            for p, q in zip(D.parts, D2.parts):
-                mp, _ = present_submodule(D.ambient, p.gens_mat)
-                mq, _ = present_submodule(D2.ambient, q.gens_mat)
-                assert mp.invariants() == mq.invariants()
+            assert D2.parts == D.parts
             done_rt += 1
         if done_sd < 300:
             out = summand_devissage(D, e)

@@ -105,6 +105,24 @@ def test_dominates_subcommand(tmp_path, capsys):
     assert out == {"dominates": False, "pushout_agrees": True}
 
 
+@pytest.mark.parametrize(
+    "module, clause",
+    [
+        ({"generators": "-2"}, "modules.M.generators: -2 is negative"),
+        (
+            {"generators": "5", "relations": [["2"]]},
+            "modules.M.generators: 5 generators, but 'relations' has 1 rows",
+        ),
+    ],
+    ids=["negative", "disagrees"],
+)
+def test_module_generators_are_checked(tmp_path, capsys, module, clause):
+    path = write(tmp_path, {"ring": {"kind": "Integers"}, "modules": {"M": module}})
+    code, out = run(capsys, ["projtest", "--input", path])
+    assert code == 2
+    assert out == {"error": "InputError", "clause": clause}
+
+
 def test_malformed_json_exit2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"ring": {"kind": "Integers",')
@@ -205,12 +223,11 @@ def test_harness_subcommand_small(capsys):
     assert set(report["suites"]) == {"snf_roundtrip", "ml_identity_tower"}
 
 
-def test_harness_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("FPMOD_SEED", "99")
-    code = run_command(["harness", "--trials", "0"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["seed"] == "99"
+def test_harness_seed_is_only_an_option(capsys, monkeypatch):
+    # the environment does not set the seed: --seed defaults to 0
+    monkeypatch.setenv("FPMOD_SEED", "not-a-seed")
+    assert run_command(["harness", "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == "0"
 
 
 def test_unknown_suite_exit2(capsys):

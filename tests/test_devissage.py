@@ -6,19 +6,15 @@ import random
 
 import pytest
 
-from fpmod import devissage
+from fpmod import devissage, homtensor, purity
 from fpmod.errors import InvalidFiltration, NotIdempotent, NotInternal, NotProjective
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
     SubmoduleRep,
     free_module,
-    identity_morphism,
     mk_module,
     mk_morphism,
     present_submodule,
-    sub_eq,
-    sub_independent,
-    sub_sum,
 )
 from fpmod.devissage import (
     InternalDecomposition,
@@ -26,7 +22,6 @@ from fpmod.devissage import (
     decomposition_to_filtration,
     filtration_to_decomposition,
     projective_cyclic_decomposition,
-    relative_complement,
     summand_devissage,
     validate_decomposition,
     validate_filtration,
@@ -162,23 +157,6 @@ def test_invalid_filtration_raises_every_time(monkeypatch):
     assert len(calls) == once == 1  # the span check at stage 0, run once
 
 
-def test_relative_complement():
-    M = free_module(ZZ, 2)
-    e1 = SubmoduleRep(M, Mat.from_ints(ZZ, [[1], [0]]))
-    top = SubmoduleRep(M, Mat.identity(ZZ, 2))
-    C = relative_complement(M, e1, top)
-    assert C is not None
-    assert sub_eq(C, SubmoduleRep(M, C.gens_mat))
-
-
-def test_relative_complement_can_fail():
-    # 2Z inside Z has no complement
-    M = free_module(ZZ, 1)
-    A = SubmoduleRep(M, Mat.from_ints(ZZ, [[2]]))
-    B = SubmoduleRep(M, Mat.from_ints(ZZ, [[1]]))
-    assert relative_complement(M, A, B) is None
-
-
 def test_summand_devissage_coordinate_projection():
     # M = Z/3 + Z/2, e = projection on the first summand
     M = mk_module(ZZ, Mat.from_ints(ZZ, [[3, 0], [0, 2]]))
@@ -237,7 +215,7 @@ def _criterion_6_instances(count):
 
 def test_summand_devissage_parts_digest():
     """The number of parts and each part's invariants, over the first 100
-    criterion-6 instances.  Relative complements are not unique, so the
+    criterion-6 instances.  Stage complements are not unique, so the
     parts themselves are not pinned, only what does not depend on them."""
     h = hashlib.sha256()
     for D, e in _criterion_6_instances(100):
@@ -248,26 +226,28 @@ def test_summand_devissage_parts_digest():
     assert h.hexdigest() == "2f4c7c354988ecb03b4f190dc791cdacd976d40e5e91ef2e12a3001aeae5fa9b"
 
 
-def test_relative_complements_of_devissages_are_complements(monkeypatch):
-    """relative_complement checks nothing after its section: on the 300
-    criterion-6 devissages, every complement C of A in B it returns still
-    meets A in 0 and spans B with it."""
-    found = []
-    real = devissage.relative_complement
+def test_summand_devissage_solves_no_morphism_equation(monkeypatch):
+    """Each stage's complement is read off the one expression of e: on the
+    300 criterion-6 devissages nothing reaches the morphism solver, there
+    is one solve_linear per devissage, and every output validates."""
 
-    def recording(amb, A, B):
-        C = real(amb, A, B)
-        found.append((A, B, C))
-        return C
+    def refuse(*args):
+        raise AssertionError("summand_devissage solved a morphism equation")
 
-    monkeypatch.setattr(devissage, "relative_complement", recording)
+    for mod in (homtensor, purity):
+        monkeypatch.setattr(mod, "_solve_morphism", refuse)
+    solves = []
+    real = devissage.solve_linear
+
+    def counting(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(devissage, "solve_linear", counting)
     for D, e in _criterion_6_instances(300):
-        summand_devissage(D, e)
-    assert len(found) >= 250
-    for A, B, C in found:
-        assert C is not None
-        assert sub_independent((A, C))
-        assert sub_eq(sub_sum(A, C), B)
+        before = len(solves)
+        assert validate_decomposition(summand_devissage(D, e))
+        assert len(solves) == before + 1
 
 
 def test_summand_devissage_rejects_non_idempotent():

@@ -20,7 +20,6 @@ from fpmod.fpmodule import (
     is_iso,
     is_surjective,
     kernel,
-    member,
     mk_module,
     mk_morphism,
     mor_eq,
@@ -126,8 +125,6 @@ def test_submodule_lattice():
     e2 = SubmoduleRep(M, Mat.from_ints(ZZ, [[0], [1]]))
     assert sub_eq(sub_sum(e1, e2), full_submodule(M))
     assert sub_independent((e1, e2))
-    assert member(e1, Mat.from_ints(ZZ, [[3], [0]]))
-    assert not member(e1, Mat.from_ints(ZZ, [[0], [1]]))
 
 
 def test_submodule_sum_not_direct():

@@ -15,13 +15,14 @@ import pytest
 
 import fpmod.fpmodule as fp
 import fpmod.homtensor as ht
-from fpmod.devissage import InternalDecomposition, relative_complement, summand_devissage
+from fpmod.devissage import InternalDecomposition, summand_devissage
 from fpmod.fpmodule import (
     Morphism,
     SubmoduleRep,
     cokernel,
     compose,
     direct_sum,
+    free_module,
     identity_morphism,
     kernel,
     mk_module,
@@ -151,19 +152,21 @@ def _record_morphisms(monkeypatch):
 
 
 def test_internal_witnesses_are_certificates(monkeypatch):
-    # the quotient map of relative_complement, the inclusions and quotient
-    # maps that summand_devissage builds (it builds no id - e), and
-    # multiplication by d in is_flat
+    # the compositions and inclusions that summand_devissage builds (it
+    # builds no id - e), and multiplication by d and its kernel's
+    # inclusion in is_flat
     M = mk_module(ZZ, Mat.from_ints(ZZ, [[2, 0], [0, 3], [0, 0]]))
     parts = tuple(SubmoduleRep(M, Mat.identity(ZZ, 3).select_columns([i])) for i in range(3))
-    A = SubmoduleRep(M, parts[0].gens_mat)
-    B = SubmoduleRep(M, parts[0].gens_mat.hstack(parts[1].gens_mat))
-    e = mk_morphism(M, M, Mat.from_ints(ZZ, [[1, 0, 0], [0, 0, 0], [0, 0, 1]]))
+    idempotents = [
+        mk_morphism(M, M, Mat.from_ints(ZZ, rows))
+        for rows in ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    ]
     built = _record_morphisms(monkeypatch)
-    assert relative_complement(M, A, B) is not None
-    summand_devissage(InternalDecomposition(M, parts), e)
+    for e in idempotents:
+        summand_devissage(InternalDecomposition(M, parts), e)
     Z12 = Zmod(12)
     assert not is_flat(mk_module(Z12, Mat.from_ints(Z12, [[2]])))
+    assert is_flat(free_module(Z12, 1))
     assert len(built) > 10
     for mor in built:
         assert_certified(mor)
