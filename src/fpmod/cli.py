@@ -38,6 +38,16 @@ def _need(doc, kind):
     raise InputError(f"need exactly one entry in {kind!r}; got {len(table)}")
 
 
+def _list_param(doc, name, command):
+    """The list parameter name, which command needs."""
+    value = doc.params.get(name)
+    if value is None:
+        raise InputError(f"{command} needs a {name!r} parameter")
+    if not isinstance(value, list):
+        raise InputError(f"{name}: expected a list")
+    return value
+
+
 def _two_morphisms(doc):
     names = sorted(doc.morphisms)
     if "f" in doc.morphisms and "g" in doc.morphisms:
@@ -158,13 +168,10 @@ def cmd_tower_lift(doc, args):
     C = doc.tower("C")
     fmap = doc.morphism("fmap")
     gmap = doc.morphism("gmap")
-    family_doc = doc.params.get("c_family")
-    if family_doc is None:
-        raise InputError("tower-lift needs a 'c_family' parameter")
     ring = C.object.ring
     fam = [
         decode_mat(ring, col, f"c_family[{i}]", rows=C.object.gens, cols=1)
-        for i, col in enumerate(family_doc)
+        for i, col in enumerate(_list_param(doc, "c_family", "tower-lift"))
     ]
     b_family = _limits.tower_surjective_lift(A, B, C, fmap, gmap, fam, args.horizon)
     return {"b_family": [encode_mat(b) for b in b_family]}
@@ -185,12 +192,9 @@ def cmd_enlarge_free(doc, args):
 
 def cmd_devissage(doc, args):
     amb = _need(doc, "modules")
-    parts_doc = doc.params.get("parts")
-    if parts_doc is None:
-        raise InputError("devissage needs a 'parts' parameter")
     parts = tuple(
         _fp.SubmoduleRep(amb, decode_mat(amb.ring, p, f"parts[{i}]", rows=amb.gens))
-        for i, p in enumerate(parts_doc)
+        for i, p in enumerate(_list_param(doc, "parts", "devissage"))
     )
     D = _devissage.InternalDecomposition(amb, parts)
     e_doc = doc.params.get("idempotent")

@@ -188,7 +188,8 @@ def projective_cyclic_decomposition(P):
         raise NotProjective(f"{P} is not projective")
     cover = P.ring.cover
     sf = snf(P.lifted_rels())
-    Uinv = sf.U_inverse().map_entries(lambda e: e, new_ring=P.ring)
+    Uinv = solve_linear(sf.U, Mat.identity(cover, P.gens))  # U is unimodular: the one inverse
+    Uinv = Uinv.map_entries(lambda e: e, new_ring=P.ring)
     parts = []
     k = len(sf.invariant_factors)
     for i in range(P.gens):

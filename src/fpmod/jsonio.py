@@ -221,6 +221,16 @@ def _decode_tower(ring, doc, modules, morphisms, where):
     return Tower(obj, step, direction)
 
 
+def _named(doc, field):
+    """The (name, spec) pairs of an optional object of named entries."""
+    table = doc.get(field)
+    if table is None:
+        return ()
+    if not isinstance(table, dict):
+        raise InputError(f"{field}: expected an object of named entries")
+    return table.items()
+
+
 def decode_input(doc):
     """Decode and validate a full input document (already-parsed JSON)."""
     if not isinstance(doc, dict):
@@ -230,13 +240,13 @@ def decode_input(doc):
     ring = decode_ring(doc["ring"], "ring")
     phi = decode_ring_map(doc["map"], "map") if "map" in doc else None
     modules = {}
-    for name, spec in (doc.get("modules") or {}).items():
+    for name, spec in _named(doc, "modules"):
         modules[name] = _decode_module(ring, spec, f"modules.{name}")
     morphisms = {}
-    for name, spec in (doc.get("morphisms") or {}).items():
+    for name, spec in _named(doc, "morphisms"):
         morphisms[name] = _decode_morphism(ring, spec, modules, f"morphisms.{name}")
     towers = {}
-    for name, spec in (doc.get("towers") or {}).items():
+    for name, spec in _named(doc, "towers"):
         towers[name] = _decode_tower(ring, spec, modules, morphisms, f"towers.{name}")
     known = {"ring", "map", "modules", "morphisms", "towers"}
     params = {k: v for k, v in doc.items() if k not in known}

@@ -38,7 +38,6 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 ML = "ML"
-NOT_ML = "NotML"
 UNKNOWN = "UnknownAtHorizon"
 
 

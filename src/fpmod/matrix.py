@@ -70,19 +70,6 @@ class Mat:
     def is_zero(self):
         return all(self.ring.is_zero(e) for e in self.entries)
 
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
-
     # ---- arithmetic ------------------------------------------------------
 
     def _check_same_shape(self, other):

@@ -10,39 +10,43 @@ Any other ring is cover/(ideal) for its Euclidean cover (Z/n is Z/(n));
 cover, with ideal*identity columns appended.  solve_linear,
 kernel_matrix and FpModule.lifted_rels all go through it.
 
+One rule hands back the transforms: a transform that a function
+returns rides along on the rows it eliminates, and a transform that
+is applied to a right-hand side stays a log (Cohen, GTM 138, 2.4).
+Row operations act on whole rows and column operations on every row,
+while the pivot search reads only the leading rows x cols block, so
+identity columns appended to the right of A come out as the row
+transform, and identity rows appended below A as the column transform.
+
 The Hermite elimination (_echelon) is a generator: it yields each row
 as soon as that row is final, since later steps touch only lower rows
-and later columns.  Each column operation goes to a step function, so
-a caller that needs the transform logs them: A*U = H where U is the
-product of the logged elementary operations.  Three entry points share
-the elimination:
+and later columns.  Three entry points share it:
 
 - solve_linear forward-substitutes each row of H*Y = B as it arrives
   and returns None at the first inconsistent row, leaving the rows
-  below it uneliminated.  It then forms X = U*[Y; 0] by replaying the
-  log last step first as row operations on [Y; 0], B.cols entries a
-  step.
+  below it uneliminated.  Its column operations go to a log, A*U = H
+  for their product U, and it forms X = U*[Y; 0] by replaying the log
+  last step first as row operations on [Y; 0], B.cols entries a step.
 - solvable does the same walk for the verdict alone: no log is kept
   and nothing is replayed.  Callers that only test for a solution use
   it.
-- hnf reduces the entries left of each pivot as its row arrives, and
-  builds U by the replay on the identity.  Only hnf does this: the
-  reduction only mixes pivot columns, so U*[Y; 0] is the same without
-  it, and the solver keeps each pivot column final once its row is.
+- hnf appends identity rows below A, which come out as U, and reduces
+  the entries left of each pivot as its row arrives.  Only hnf does
+  this: the reduction only mixes pivot columns, so U*[Y; 0] is the same
+  without it, and the solver keeps each pivot column final once its
+  row is.
 
-The Smith elimination works the same way on its rows: it builds D and
-V in place and logs its row operations in place of U, with U*A*V = D
-for the U of the log.  The public snf builds U by replaying the log on
-the identity, and SmithForm.U_inverse builds U^-1 by undoing it, last
-step first.  kernel_matrix reads only V's columns past the rank, and
-is_unimodular only D's diagonal, so neither builds U or calls snf;
-invariant factors come from snf.
+The Smith elimination gives U*A*V = D.  snf appends the identity to
+the right of A's rows, for U, and identity rows below A, for V.
+kernel_matrix reads only V's columns past the rank, so it appends only
+the rows below; is_unimodular reads only D's diagonal and appends
+nothing.  Invariant factors come from snf.
 
 A zero right-hand side never reaches the elimination: solve_linear
 returns the zero solution, and solvable True, straight away.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatch, UnsupportedRing
 from .matrix import Mat
@@ -54,18 +58,10 @@ class SmithForm:
     D: Mat
     V: Mat
     invariant_factors: tuple
-    row_log: list = field(compare=False, repr=False)  # U's row operations, see _snf_rows
 
     @property
     def rank(self):
         return len(self.invariant_factors)
-
-    def U_inverse(self):
-        """U^-1, by undoing the row log on the identity: no solve."""
-        ops = self.U.ring.elim_ops()
-        W = _identity_rows(ops, self.U.rows)
-        _undo_row_log(ops, self.row_log, W)
-        return _rows_mat(self.U.ring, W, self.U.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +73,14 @@ def _identity_rows(ops, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _diagonalize_from(ops, D, V, step, t0, rows, cols):
-    """Diagonalize D[t0:, t0:], keeping U*A*V = D for the U of the log.
+def _diagonalize_from(ops, D, t0, rows, cols):
+    """Diagonalize the leading rows x cols block of D from (t0, t0) on.
 
     Each step moves a nonzero of least norm to (t, t), then clears row
     and column t by Euclidean steps, swapping a smaller remainder in as
-    the new pivot until both are clear.  Row operations go to the log
-    through step, column operations are applied to V.
+    the new pivot until both are clear.  Row operations act on whole
+    rows and column operations on every row of D, so the transforms
+    ride along on whatever D holds past the block.
     """
     z, norm, quo = ops.zero, ops.norm, ops.quo
     sub_row, sub_col = ops.sub_row, ops.sub_col
@@ -102,10 +99,8 @@ def _diagonalize_from(ops, D, V, step, t0, rows, cols):
             return
         if bi != t:
             D[bi], D[t] = D[t], D[bi]
-            step((bi, t, None))
         if bj != t:
             _swap_cols(D, bj, t)
-            _swap_cols(V, bj, t)
         restart = True
         while restart:
             restart = False
@@ -117,10 +112,8 @@ def _diagonalize_from(ops, D, V, step, t0, rows, cols):
                     q = quo(Di[t], p)
                     if q != z:
                         D[i] = Di = sub_row(Di, Dt, q)
-                        step((i, t, q))
                     if Di[t] != z:
                         D[i], D[t] = Dt, Di
-                        step((i, t, None))
                         restart = True
                         break
             if restart:
@@ -130,10 +123,8 @@ def _diagonalize_from(ops, D, V, step, t0, rows, cols):
                     q = quo(Dt[j], p)
                     if q != z:
                         sub_col(D, j, t, q)
-                        sub_col(V, j, t, q)
                     if Dt[j] != z:
                         _swap_cols(D, j, t)
-                        _swap_cols(V, j, t)
                         restart = True
                         break
 
@@ -143,22 +134,18 @@ def _swap_cols(M, j, k):
         row[j], row[k] = row[k], row[j]
 
 
-def _snf_rows(ops, a_rows, rows, cols):
-    """Smith form of the rows of A: returns (D, V, log) with
-    U*A*V = D, where U is the product of the row operations in log.
+def _snf_rows(ops, D, rows, cols):
+    """Smith form of the leading rows x cols block of the rows D, in
+    place: returns its rank, the number of nonzero diagonal entries,
+    which come first.
 
-    A logged step is (i, t, q) for "row i -= q*row t", (i, t, None) for
-    swapping rows i and t, or (i, None, u) for scaling row i by the unit
-    u, in the order they were applied.  V is built in place; U is never
-    built here: _replay_row_log applies the log to the identity.
+    Appending the identity to the right of A's rows makes those columns
+    U, and appending identity rows below A makes those rows V, with
+    U*A*V = D: see _diagonalize_from.
     """
-    D = [row[:] for row in a_rows]
-    V = _identity_rows(ops, cols)
-    log = []
-    step = log.append
     z = ops.zero
     k = min(rows, cols)
-    _diagonalize_from(ops, D, V, step, 0, rows, cols)
+    _diagonalize_from(ops, D, 0, rows, cols)
     while True:
         # the first d_i that does not divide a nonzero d_{i+1}
         for bad in range(k - 1):
@@ -169,16 +156,16 @@ def _snf_rows(ops, a_rows, rows, cols):
             break
         # fold column bad+1 into column bad, then re-diagonalize the tail
         ops.sub_col(D, bad, bad + 1, ops.minus_one)
-        ops.sub_col(V, bad, bad + 1, ops.minus_one)
-        _diagonalize_from(ops, D, V, step, bad, rows, cols)
+        _diagonalize_from(ops, D, bad, rows, cols)
+    rank = 0
     for i in range(k):
         d = D[i][i]
         if d != z:
+            rank += 1
             u = ops.unit(d)
             if u != ops.one:
                 D[i] = ops.scale_row(D[i], u)
-                step((i, None, u))
-    return D, V, log
+    return rank
 
 
 def _echelon(ops, H, rows, cols, step):
@@ -192,10 +179,12 @@ def _echelon(ops, H, rows, cols, step):
     right, and the pivot columns are 0, 1, ... in order.  Entries left
     of a pivot are not reduced here: hnf does that between yields.
 
-    Each column operation goes to step, as (j, k, q) for "column
+    Column operations act on every row from r on, so identity rows
+    appended below the first rows come out as the transform U with
+    A*U = H.  Each one also goes to step, as (j, k, q) for "column
     j -= q*column k", (j, k, None) for swapping columns j and k, or
-    (j, None, u) for scaling column j by the unit u; A*U = H for the
-    product U of the steps.  _apply_transform replays them.
+    (j, None, u) for scaling column j by the unit u: solve_linear logs
+    them for _apply_transform.
     """
     z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
     c = 0
@@ -244,7 +233,7 @@ def _echelon(ops, H, rows, cols, step):
 
 
 def _discard(_step):
-    """The step of an elimination whose transform nobody reads."""
+    """The step of an elimination whose transform is not logged."""
 
 
 def _forward(ops, H, R, rows, cols, step):
@@ -294,39 +283,6 @@ def _apply_transform(ops, log, Z):
             Z[k] = sub_row(Z[k], Z[j], q)
 
 
-def _replay_row_log(ops, log, Z):
-    """Z <- U*Z for the U of a Smith row log, without building U.
-
-    U = E_m*...*E_1, so the logged row operations are applied to Z in
-    the order they were taken.  Rows are replaced, never changed in place.
-    """
-    sub_row, scale_row = ops.sub_row, ops.scale_row
-    for i, t, q in log:
-        if t is None:
-            Z[i] = scale_row(Z[i], q)
-        elif q is None:
-            Z[i], Z[t] = Z[t], Z[i]
-        else:
-            Z[i] = sub_row(Z[i], Z[t], q)
-
-
-def _undo_row_log(ops, log, Z):
-    """Z <- U^-1*Z for the U of a Smith row log, without building U.
-
-    U^-1 = E_1^-1*...*E_m^-1, so the inverse of each logged row
-    operation is applied to Z, last step first: "row i += q*row t", the
-    same swap, or scaling by the inverse of the unit u, which is unit(u).
-    """
-    sub_row, scale_row, neg, unit = ops.sub_row, ops.scale_row, ops.neg, ops.unit
-    for i, t, q in reversed(log):
-        if t is None:
-            Z[i] = scale_row(Z[i], unit(q))
-        elif q is None:
-            Z[i], Z[t] = Z[t], Z[i]
-        else:
-            Z[i] = sub_row(Z[i], Z[t], neg(q))
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -336,50 +292,44 @@ def _rows_mat(ring, rows, cols):
     return Mat.from_rows(ring, rows) if rows and cols else Mat(ring, len(rows), cols, ())
 
 
-def _smith(A):
-    """(ops, D, V, log, rank) of _snf_rows on A, over a Euclidean ring;
-    the rank counts D's nonzero diagonal entries, which come first."""
-    ring = A.ring
-    if not ring.is_euclidean:
-        raise UnsupportedRing(f"snf needs a Euclidean ring, got {ring}")
-    ops = ring.elim_ops()
-    D, V, log = _snf_rows(ops, A.to_rows(), A.rows, A.cols)
-    k = 0
-    while k < min(A.rows, A.cols) and D[k][k] != ops.zero:
-        k += 1
-    return ops, D, V, log, k
+def _euclidean_ops(A, name):
+    """The elimination ops of A's ring, which name needs Euclidean."""
+    if not A.ring.is_euclidean:
+        raise UnsupportedRing(f"{name} needs a Euclidean ring, got {A.ring}")
+    return A.ring.elim_ops()
 
 
 def snf(A):
-    """Smith normal form of A: U*A*V = D over a Euclidean ring."""
-    ring = A.ring
-    ops, D, V, log, k = _smith(A)
-    U = _identity_rows(ops, A.rows)
-    _replay_row_log(ops, log, U)  # U*I
+    """Smith normal form of A: U*A*V = D over a Euclidean ring.
+
+    The rows eliminated are A's rows with the identity appended, then
+    identity rows: U comes out to the right of D, and V below it.
+    """
+    ring, m, n = A.ring, A.rows, A.cols
+    ops = _euclidean_ops(A, "snf")
+    D = [row + e for row, e in zip(A.to_rows(), _identity_rows(ops, m))]
+    D += _identity_rows(ops, n)
+    k = _snf_rows(ops, D, m, n)
     return SmithForm(
-        _rows_mat(ring, U, A.rows),
-        _rows_mat(ring, D, A.cols),
-        _rows_mat(ring, V, A.cols),
+        _rows_mat(ring, [row[n:] for row in D[:m]], m),
+        _rows_mat(ring, [row[:n] for row in D[:m]], n),
+        _rows_mat(ring, D[m:], n),
         tuple(D[i][i] for i in range(k)),
-        log,
     )
 
 
 def hnf(A):
     """Column Hermite form: returns (H, U) with H = A*U, U unimodular.
 
-    Each row's entries left of its pivot are reduced by the pivot as
-    soon as the row is final; only hnf does this.
+    U rides along as identity rows below A.  Each row's entries left of
+    its pivot are reduced by the pivot as soon as the row is final; only
+    hnf does this.
     """
-    ring = A.ring
-    if not ring.is_euclidean:
-        raise UnsupportedRing(f"hnf needs a Euclidean ring, got {ring}")
-    ops = ring.elim_ops()
+    ring, m = A.ring, A.rows
+    ops = _euclidean_ops(A, "hnf")
     z, quo, sub_col = ops.zero, ops.quo, ops.sub_col
-    H = A.to_rows()
-    log = []
-    step = log.append
-    for r, c in _echelon(ops, H, A.rows, A.cols, step):
+    H = A.to_rows() + _identity_rows(ops, A.cols)
+    for r, c in _echelon(ops, H, m, A.cols, _discard):
         if c is None:
             continue
         Hl = H[r:]
@@ -390,10 +340,7 @@ def hnf(A):
                 q = quo(Hr[j], p)
                 if q != z:
                     sub_col(Hl, j, c, q)
-                    step((j, c, q))
-    U = _identity_rows(ops, A.cols)
-    _apply_transform(ops, log, U)  # U*I
-    return _rows_mat(ring, H, A.cols), _rows_mat(ring, U, A.cols)
+    return _rows_mat(ring, H[:m], A.cols), _rows_mat(ring, H[m:], A.cols)
 
 
 def _as_ring(A, ring):
@@ -475,13 +422,16 @@ def solvable(A, B):
 
 def kernel_matrix(A):
     """Columns generating {x : A*x = 0} over the ring: the last columns
-    of the Smith V, past the rank, read straight from the elimination."""
+    of the Smith V, past the rank.  Only V rides along, as identity rows
+    below A; no U is built."""
     ring = A.ring
     if ring.cover is not ring:
         K = kernel_matrix(lift(A))
         return _as_ring(K.select_rows(range(A.cols)), ring).nonzero_columns()
-    _, _, V, _, k = _smith(A)
-    return Mat(ring, A.cols, A.cols - k, tuple(e for row in V for e in row[k:]))
+    ops = _euclidean_ops(A, "snf")
+    D = A.to_rows() + _identity_rows(ops, A.cols)
+    k = _snf_rows(ops, D, A.rows, A.cols)
+    return Mat(ring, A.cols, A.cols - k, tuple(e for row in D[A.rows :] for e in row[k:]))
 
 
 def is_unimodular(A):
@@ -489,5 +439,7 @@ def is_unimodular(A):
     holds units only."""
     if A.rows != A.cols:
         return False
-    _, D, _, _, _ = _smith(A)
+    ops = _euclidean_ops(A, "snf")
+    D = A.to_rows()
+    _snf_rows(ops, D, A.rows, A.cols)
     return all(A.ring.is_unit(D[i][i]) for i in range(A.rows))

@@ -123,6 +123,40 @@ def test_module_generators_are_checked(tmp_path, capsys, module, clause):
     assert out == {"error": "InputError", "clause": clause}
 
 
+_TOWER_LIFT = {
+    "ring": {"kind": "Integers"},
+    "modules": {"Z2": {"relations": [["2"]]}, "Z4": {"relations": [["4"]]}},
+    "morphisms": {
+        "fmap": {"source": "Z2", "target": "Z4", "matrix": [["2"]]},
+        "gmap": {"source": "Z4", "target": "Z2", "matrix": [["1"]]},
+        "id2": {"source": "Z2", "target": "Z2", "matrix": [["1"]]},
+        "id4": {"source": "Z4", "target": "Z4", "matrix": [["1"]]},
+    },
+    "towers": {
+        name: {"step": step, "direction": "backward"}
+        for name, step in (("A", "id2"), ("B", "id4"), ("C", "id2"))
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, clause",
+    [
+        ("invariants", {"modules": [1, 2]}, "modules: expected an object of named entries"),
+        ("hom", {"morphisms": ["f"]}, "morphisms: expected an object of named entries"),
+        ("ml-tower", {"towers": "T"}, "towers: expected an object of named entries"),
+        ("devissage", {"modules": {"M": {"generators": "2"}}, "parts": 5}, "parts: expected a list"),
+        ("tower-lift", dict(_TOWER_LIFT, c_family=3), "c_family: expected a list"),
+    ],
+    ids=["modules", "morphisms", "towers", "parts", "c_family"],
+)
+def test_malformed_document_shapes_exit2(tmp_path, capsys, command, doc, clause):
+    path = write(tmp_path, {"ring": {"kind": "Integers"}, **doc})
+    code, out = run(capsys, [command, "--input", path])
+    assert code == 2
+    assert out == {"error": "InputError", "clause": clause}
+
+
 def test_malformed_json_exit2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"ring": {"kind": "Integers",')

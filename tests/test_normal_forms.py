@@ -403,30 +403,39 @@ def _kernel_via_snf(A):
 
 
 def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the Smith row log was replayed")
+    """kernel_matrix and is_unimodular eliminate rows of A.cols entries,
+    with no U riding along; snf's rows carry U, A.rows entries more."""
+    widths = []
+    snf_rows = nf._snf_rows
 
-    cases = []
+    def record(ops, D, rows, cols):
+        widths.append((cols, [len(row) for row in D[:rows]]))
+        return snf_rows(ops, D, rows, cols)
+
+    monkeypatch.setattr(nf, "_snf_rows", record)
     for ring in SOLVE_RINGS:
         rng = random.Random(f"no-smith-transform:{ring}")
         for _ in range(10):
             r, c = rng.randint(0, 4), rng.randint(0, 5)
             rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
             A = Mat.from_rows(ring, rows) if r and c else Mat.zeros(ring, r, c)
-            cases.append((A, _kernel_via_snf(A)))
-    monkeypatch.setattr(nf, "_replay_row_log", refuse)
-    for A, ref in cases:
-        K = kernel_matrix(A)
-        assert K == ref
-        assert A.mul(K).is_zero()
-    assert is_unimodular(Mat.from_ints(ZZ, [[2, 1], [1, 1]]))
-    assert not is_unimodular(Mat.from_ints(ZZ, [[2, 0], [0, 1]]))
-    with pytest.raises(AssertionError, match="row log was replayed"):
-        snf(Mat.from_ints(ZZ, [[2, 3]]))
+            ref = _kernel_via_snf(A)
+            L = lift(A)  # what the elimination sees: A itself, or [A | n*I] over Z
+            assert widths == [(L.cols, [L.cols + L.rows] * L.rows)]
+            widths.clear()
+            K = kernel_matrix(A)
+            assert widths == [(L.cols, [L.cols] * L.rows)]
+            widths.clear()
+            assert K == ref
+            assert A.mul(K).is_zero()
+    for A, unimodular in [([[2, 1], [1, 1]], True), ([[2, 0], [0, 1]], False)]:
+        assert is_unimodular(Mat.from_ints(ZZ, A)) is unimodular
+        assert widths == [(2, [2, 2])]
+        widths.clear()
 
 
 # ---------------------------------------------------------------------------
-# zero right-hand sides, and U^-1 from the Smith row log
+# zero right-hand sides
 
 
 def test_solve_linear_zero_rhs_is_zero_without_elimination(monkeypatch):
@@ -455,17 +464,3 @@ def test_solve_linear_zero_rhs_is_zero_without_elimination(monkeypatch):
     assert solve_linear(A, Mat.zeros(Zmod(12), 2, 3)) == Mat.zeros(Zmod(12), 2, 3)
     with pytest.raises(AssertionError, match="was eliminated"):
         solve_linear(A, Mat.from_ints(Zmod(12), [[1], [0]]))
-
-
-@pytest.mark.parametrize("ring", [ZZ, QQ, Fp(5), ZI], ids=str)
-def test_smith_u_inverse_undoes_the_row_log(ring):
-    rng = random.Random(f"u-inverse:{ring}")
-    for _ in range(40):
-        r, c = rng.randint(0, 5), rng.randint(0, 5)
-        rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
-        A = Mat.from_rows(ring, rows) if r and c else Mat.zeros(ring, r, c)
-        sf = snf(A)
-        W = sf.U_inverse()
-        I = Mat.identity(ring, r)
-        assert W.mul(sf.U) == I and sf.U.mul(W) == I
-        assert W == solve_linear(sf.U, I)  # the unique inverse
