@@ -9,13 +9,14 @@ ideal*identity relations appended for a quotient such as Z/n
 code in the package.
 
 A morphism whose matrix comes from outside goes through mk_morphism,
-which solves for the witness: the CLI, the harness decoders and
-HomModule.decode.  Every morphism the package builds itself gets its
-witness by construction, in closed form: compose, identity_morphism,
-zero_morphism, quotient_by (and so cokernel), present_submodule (and
-so kernel) and direct_sum here; pushout, pushout_induced,
-base_change_mor, tensor_mor, is_flat and the morphism-equation
-solver (homtensor._solve_morphism) elsewhere.
+which solves for the witness: the CLI and the harness decoders.  Every
+morphism the package builds itself gets its witness by construction,
+in closed form: compose, identity_morphism, zero_morphism, quotient_by
+(and so cokernel), present_submodule (and so kernel) and direct_sum
+here; pushout, pushout_induced, base_change_mor, tensor_mor, is_flat,
+the morphism-equation solver (homtensor._solve_morphism) and
+HomModule.decode, whose witness rows come with the Hom kernel,
+elsewhere.
 
 Equality of morphisms, containment, the zero tests and the
 direct-sum test (sub_independent, one kernel for all the parts) only
@@ -243,12 +244,16 @@ def present_submodule(ambient, gens_mat):
 # abelian-category toolkit
 
 
+def kernel_sub(f):
+    """{x : f(x) = 0 in target} as a submodule of the source, the
+    counterpart of image(f): the source rows of kernel([f.mat | rels])."""
+    K = kernel_matrix(f.mat.hstack(f.target.rels))
+    return SubmoduleRep(f.source, K.select_rows(range(f.source.gens)).nonzero_columns())
+
+
 def kernel(f):
-    """(K, incl) with incl monic and image {x : f(x) = 0 in target}."""
-    big = f.mat.hstack(f.target.rels)
-    K = kernel_matrix(big)
-    G = K.select_rows(range(f.source.gens)).nonzero_columns()
-    return present_submodule(f.source, G)
+    """(K, incl) with incl monic and image kernel_sub(f)."""
+    return present_submodule(f.source, kernel_sub(f).gens_mat)
 
 
 def cokernel(f):
@@ -265,8 +270,7 @@ def is_surjective(f):
 
 
 def is_injective(f):
-    K, _ = kernel(f)
-    return K.is_zero_module()
+    return sub_is_zero(kernel_sub(f))
 
 
 def block_injections(ring, a, b):

@@ -280,7 +280,7 @@ def _check_pushout(inst):
     w = _po.pushout_induced(P, P.inl, P.inr)
     if not _fp.mor_eq(w, _fp.identity_morphism(P.object)):
         return False
-    # uniqueness: any w' agreeing on both legs equals w
+    # over Z, base change along Z -> Q, Z[i] and Z/4 commutes with the pushout
     if f.source.ring == ZZ:
         for phi_tgt in ("Rationals", "GaussianIntegers", "IntegersMod(4)"):
             phi = ring_map(ZZ, parse_ring_name(phi_tgt))

@@ -20,9 +20,10 @@ the well-definedness rows (`well_defined_block`).  Two calls use them:
   projectivity decider and purity.has_retraction use it.
 
 Hom(M, N) is presented by the kernel of the well-definedness
-constraint.  Tensor products use the standard presentation with
-relations M.rels (x) id and id (x) N.rels; base change applies the ring
-map entrywise to the relation matrix.
+constraint, whose Y rows are the generators' witnesses.  Tensor
+products use the standard presentation with relations M.rels (x) id
+and id (x) N.rels; base change applies the ring map entrywise to the
+relation matrix.
 """
 
 from dataclasses import dataclass
@@ -35,10 +36,9 @@ from .fpmodule import (
     Morphism,
     SubmoduleRep,
     free_module,
-    kernel,
+    kernel_sub,
     mk_module,
-    mk_morphism,
-    sub_eq,
+    sub_leq,
 )
 from .rings import _is_prime
 
@@ -56,12 +56,16 @@ class HomModule:
     underlying: FpModule
     gen_mats: Mat  # columns are vec'd well-defined matrices
     triv_mats: Mat  # columns spanning the matrices equivalent to zero
+    witnesses: Mat  # column j is the vec'd witness of gen_mats' column j
 
     def decode(self, z):
-        """Morphism corresponding to an element (coordinate column)."""
-        v = self.gen_mats.mul(z)
-        T = Mat.unvec(self.M.ring, v, self.N.gens, self.M.gens)
-        return mk_morphism(self.M, self.N, T)
+        """Morphism corresponding to an element (coordinate column).  The
+        witness equation is linear, so the same combination of the
+        generators' witnesses is its witness."""
+        M, N, ring = self.M, self.N, self.M.ring
+        T = Mat.unvec(ring, self.gen_mats.mul(z), N.gens, M.gens)
+        Y = Mat.unvec(ring, self.witnesses.mul(z), N.rels.cols, M.rels.cols)
+        return Morphism(M, N, T, Y)
 
     def encode(self, f):
         """Coordinates of a morphism; inverse of decode modulo relations."""
@@ -157,13 +161,15 @@ def _morphism_exists(src, tgt, L, R, C, mod):
 def hom_module(M, N):
     if M.ring != N.ring:
         raise RingMismatch(f"{M.ring} vs {N.ring}")
-    K = kernel_matrix(well_defined_block(M, N))
-    W = K.select_rows(range(N.gens * M.gens)).nonzero_columns()
+    # the kernel's columns [vec X; vec Y] with X nonzero: generators and their witnesses
+    n_x = N.gens * M.gens
+    K = kernel_matrix(well_defined_block(M, N)).nonzero_columns(n_x)
+    W = K.select_rows(range(n_x))
     # matrices whose columns lie in span(N.rels): vec(N.rels * C) = (I (x) N.rels) vec C
     B = Mat.identity(M.ring, M.gens).kron(N.rels)
     rels = kernel_matrix(W.hstack(B)).select_rows(range(W.cols))
     underlying = FpModule(M.ring, W.cols, rels)
-    return HomModule(M, N, underlying, W, B)
+    return HomModule(M, N, underlying, W, B, K.select_rows(range(n_x, K.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +224,6 @@ def base_change_mor(phi, f):
 # deciders
 
 
-def _divisors(n):
-    """Positive divisors of n in increasing order, built from its factorization."""
-    out = [1]
-    for p, e in _prime_factorization(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 # Trial division stops here, so factoring costs at most this many steps.
 _TRIAL_DIVISION_BOUND = 10**5
 
@@ -256,10 +254,14 @@ def _prime_factorization(n):
 def is_flat(M):
     """Flatness decider.
 
-    Domains: torsion-free.  Fields: always.  Z/n: for every divisor d of
-    n the multiplication map (d) (x) M -> M must be injective, which by
-    principality reduces to ann_M(d) = (n/d)M; both sides are computed as
-    honest submodules and compared by mutual membership.
+    Domains: torsion-free.  Fields: always.  Z/n: ann_M(p) lies in
+    (n/p)M for every prime p of n.  By the CRT M is the sum of its
+    p-parts M_p, modules over Z/p^e for p^e exactly dividing n; on the
+    other parts p is a unit and n/p is zero, so the check reads
+    ann(p) <= p^(e-1) M_p.  For M_p = sum of Z/p^a_i it holds iff every
+    a_i is 0 or e, that is iff M_p is free, and M is flat iff every M_p
+    is.  The reverse containment always holds, since p(n/p) = n = 0.
+    ann_M(p) is read off one kernel of multiplication by p.
     """
     ring = M.ring
     if ring.is_field:
@@ -268,17 +270,11 @@ def is_flat(M):
         torsion, _ = M.invariants()
         return not torsion
     n = ring.ideal
-    for d in _divisors(n):
-        if d == 1 or d == n:
-            continue
-        dr = ring.from_int(d)
-        mult_d = Morphism(
-            M, M, Mat.identity(ring, M.gens).scale(dr), Mat.identity(ring, M.rels.cols).scale(dr)
-        )
-        _, incl = kernel(mult_d)
-        ann = SubmoduleRep(M, incl.mat)
-        scaled = SubmoduleRep(M, Mat.identity(ring, M.gens).scale(ring.from_int(n // d)))
-        if not sub_eq(ann, scaled):
+    I, IR = Mat.identity(ring, M.gens), Mat.identity(ring, M.rels.cols)
+    for p in _prime_factorization(n):
+        pr = ring.from_int(p)
+        ann = kernel_sub(Morphism(M, M, I.scale(pr), IR.scale(pr)))
+        if not sub_leq(ann, SubmoduleRep(M, I.scale(ring.from_int(n // p)))):
             return False
     return True
 

@@ -67,6 +67,8 @@ def decode_ring(doc, where="ring"):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"{where}: expected an object with a 'kind' field")
     kind = doc["kind"]
+    if not isinstance(kind, str):
+        raise InputError(f"{where}.kind: expected a string")
     modulus = _parse_int(doc.get("modulus", 0), where + ".modulus") if "modulus" in doc else 0
     try:
         return RingDesc(kind, modulus)

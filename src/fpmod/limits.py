@@ -23,11 +23,10 @@ from .normal_forms import kernel_matrix, snf, solvable, solve_linear
 from .fpmodule import (
     FpModule,
     Morphism,
-    SubmoduleRep,
     compose,
     image,
     is_surjective,
-    kernel,
+    kernel_sub,
     identity_morphism,
     mor_eq,
     sub_eq,
@@ -124,8 +123,7 @@ def tower_surjective_lift(A, B, C, fmap, gmap, c_family, horizon):
         raise HypothesisViolation(f"need {horizon + 1} family entries, got {len(c_family)}")
     if not is_surjective(gmap):
         raise HypothesisViolation("gmap is not surjective")
-    K, kincl = kernel(gmap)
-    if not sub_eq(image(fmap), SubmoduleRep(B.object, kincl.mat)):
+    if not sub_eq(image(fmap), kernel_sub(gmap)):
         raise HypothesisViolation("im(fmap) != ker(gmap)")
     if not mor_eq(compose(fmap, A.step), compose(B.step, fmap)):
         raise HypothesisViolation("fmap does not commute with the tower steps")

@@ -188,11 +188,12 @@ class Mat:
             ents.extend(row[j] for j in idxs)
         return Mat(self.ring, self.rows, len(idxs), tuple(ents))
 
-    def nonzero_columns(self):
-        """The matrix of the columns that are not zero, in their order."""
+    def nonzero_columns(self, rows=None):
+        """The matrix of the columns that are not zero in their leading
+        rows (all rows by default), in their order."""
         is_zero = self.ring.is_zero
         return self.select_columns(
-            [j for j in range(self.cols) if not all(is_zero(e) for e in self.col(j))]
+            [j for j in range(self.cols) if not all(is_zero(e) for e in self.col(j)[:rows])]
         )
 
     def select_rows(self, idxs):

@@ -32,7 +32,7 @@ from .fpmodule import (
     free_module,
     identity_morphism,
     is_zero_elem,
-    kernel,
+    kernel_sub,
     mk_module,
     mor_eq,
 )
@@ -110,9 +110,9 @@ def is_universally_injective(f):
         return PurityVerdict(True, pi, None)
     for Q in _probe_family(f):
         tf = tensor_mor(f, identity_morphism(Q))
-        K, incl = kernel(tf)
-        for j in range(incl.mat.cols):
-            elem = incl.mat.col_mat(j)
+        ker = kernel_sub(tf).gens_mat
+        for j in range(ker.cols):
+            elem = ker.col_mat(j)
             if not is_zero_elem(tf.source, elem):
                 return PurityVerdict(False, None, (Q, elem))
     raise ProbeInconclusive(

@@ -460,14 +460,11 @@ def Zmod(n):
 # Ring maps
 
 
-EMBEDDING = "canonical embedding"
-QUOTIENT = "canonical quotient"
-FREE_EXTENSION = "free extension"
-
+# (flat, faithfully flat) of each registered map
 _SUPPORTED_MAPS = {
-    (INTEGERS, RATIONALS): (EMBEDDING, True, False),
-    (INTEGERS, GAUSSIAN): (FREE_EXTENSION, True, True),
-    (INTEGERS, INTEGERS_MOD): (QUOTIENT, False, False),
+    (INTEGERS, RATIONALS): (True, False),
+    (INTEGERS, GAUSSIAN): (True, True),
+    (INTEGERS, INTEGERS_MOD): (False, False),
 }
 
 
@@ -483,7 +480,6 @@ class RingMap:
 
     source: RingDesc
     target: RingDesc
-    kind: str
     flat: bool
     faithfully_flat: bool
     basis_size: int = 1
@@ -518,10 +514,10 @@ class RingMap:
 def ring_map(source, target):
     """Build the canonical map between two supported rings."""
     if source == target:
-        return RingMap(source, target, EMBEDDING, True, True)
+        return RingMap(source, target, True, True)
     key = (source.kind, target.kind)
     if key not in _SUPPORTED_MAPS:
         raise UnsupportedRing(f"unsupported ring map {source} -> {target}")
-    kind, flat, ff = _SUPPORTED_MAPS[key]
+    flat, ff = _SUPPORTED_MAPS[key]
     basis = 2 if target.kind == GAUSSIAN else 1
-    return RingMap(source, target, kind, flat, ff, basis)
+    return RingMap(source, target, flat, ff, basis)

@@ -147,8 +147,14 @@ _TOWER_LIFT = {
         ("ml-tower", {"towers": "T"}, "towers: expected an object of named entries"),
         ("devissage", {"modules": {"M": {"generators": "2"}}, "parts": 5}, "parts: expected a list"),
         ("tower-lift", dict(_TOWER_LIFT, c_family=3), "c_family: expected a list"),
+        ("invariants", {"ring": {"kind": ["x"]}}, "ring.kind: expected a string"),
+        (
+            "invariants",
+            {"modules": {"M": {"ring": {"kind": ["x"]}, "generators": "1"}}},
+            "modules.M.ring.kind: expected a string",
+        ),
     ],
-    ids=["modules", "morphisms", "towers", "parts", "c_family"],
+    ids=["modules", "morphisms", "towers", "parts", "c_family", "ring_kind", "module_ring_kind"],
 )
 def test_malformed_document_shapes_exit2(tmp_path, capsys, command, doc, clause):
     path = write(tmp_path, {"ring": {"kind": "Integers"}, **doc})
@@ -349,7 +355,7 @@ def test_large_prime_modulus_answers(tmp_path, capsys, cmd):
 
 @pytest.mark.parametrize("cmd", ["flattest", "projtest"])
 def test_unfactorable_modulus_exit2(tmp_path, capsys, cmd):
-    # flatness runs over the divisors of n, which needs its factorization;
+    # flatness checks each prime of n, which needs its factorization;
     # projectivity by invariants needs only gcds, and agrees with the
     # split search
     doc = {

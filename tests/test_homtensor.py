@@ -11,22 +11,27 @@ from fractions import Fraction
 
 import pytest
 
+import fpmod.fpmodule as fpmodule
+import fpmod.homtensor as homtensor
 from fpmod.errors import DimensionMismatch, FactorizationTooHard, NotWellDefined, RingMismatch
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
+    Morphism,
+    SubmoduleRep,
     compose,
     free_module,
     identity_morphism,
     is_iso,
+    kernel,
     mk_module,
     mk_morphism,
     mor_eq,
+    sub_eq,
     zero_module,
 )
 from fpmod.harness import SPAN, SUITES, HarnessConfig, _decode_morphisms, derived_seed
 from fpmod.homtensor import (
     _TRIAL_DIVISION_BOUND,
-    _divisors,
     _morphism_exists,
     _prime_factorization,
     _projective_by_invariants,
@@ -208,14 +213,8 @@ def test_projective_cyclic_matches_valuations_and_split_search():
             assert _projective_by_split_search(M) is expected, (n, d)
 
 
-def test_divisors_match_brute_force():
-    for n in range(1, 501):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-    assert _divisors(2**20) == [2**k for k in range(21)]
-
-
 def test_flat_over_large_modulus():
-    # 2*10^7 = 2^8 * 5^7 has 72 divisors; is_flat used to scan all 2*10^7
+    # 2*10^7 = 2^8 * 5^7: two checks, one per prime
     ring = Zmod(2 * 10**7)
     assert is_flat(mk_module(ring, Mat.from_ints(ring, [[256, 0], [0, 1]])))
     assert not is_flat(mk_module(ring, Mat.from_ints(ring, [[2, 0], [0, 5]])))
@@ -247,6 +246,77 @@ def test_prime_factorization_past_the_trial_bound():
         _prime_factorization(p * q)
     with pytest.raises(FactorizationTooHard):
         _prime_factorization(6 * p * p)
+
+
+def _brute_divisors(n):
+    out = [1]
+    for p, e in _brute_factorization(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return out
+
+
+def _flat_by_all_divisors(M):
+    """Reference decider: ann_M(d) = (n/d)M for every divisor d of n, each
+    side a submodule (the kernel of multiplication by d, presented), the
+    two compared by mutual containment."""
+    ring, n = M.ring, M.ring.ideal
+    I, IR = Mat.identity(ring, M.gens), Mat.identity(ring, M.rels.cols)
+    for d in _brute_divisors(n):
+        dr = ring.from_int(d)
+        _, incl = kernel(Morphism(M, M, I.scale(dr), IR.scale(dr)))
+        ann = SubmoduleRep(M, incl.mat)
+        if not sub_eq(ann, SubmoduleRep(M, I.scale(ring.from_int(n // d)))):
+            return False
+    return True
+
+
+FLAT_MODULI = (4, 6, 8, 9, 12, 30, 72, 2**10, 3**6, 10**6, 2**20, 786432)
+
+
+def _rand_zmod_module(rng, n):
+    # entries are random multiples of random divisors of n, so the
+    # torsion parts hit every exponent, full ones included
+    ring = Zmod(n)
+    divisors = _brute_divisors(n)
+    gens, nrels = rng.randint(1, 3), rng.randint(0, 3)
+    rows = [[rng.choice(divisors) * rng.randint(0, 3) for _ in range(nrels)] for _ in range(gens)]
+    return mk_module(ring, Mat.from_ints(ring, rows) if nrels else Mat.zeros(ring, gens, 0))
+
+
+def test_flat_matches_all_divisor_reference():
+    rng = random.Random("flat-by-primes")
+    not_flat = 0
+    for n in FLAT_MODULI:
+        for _ in range(90):
+            M = _rand_zmod_module(rng, n)
+            flat = is_flat(M)
+            assert flat == _flat_by_all_divisors(M), M
+            not_flat += not flat
+    assert len(FLAT_MODULI) * 90 >= 1000 and not_flat >= 300
+
+
+@pytest.mark.parametrize("n, primes", [(2**20, 1), (10**6, 2)])
+def test_flat_reads_one_kernel_per_prime(monkeypatch, n, primes):
+    # ann_M(p) is read off the kernel's generators, never presented
+    calls = []
+    kernel_matrix = fpmodule.kernel_matrix
+
+    def count(A):
+        calls.append(A)
+        return kernel_matrix(A)
+
+    def refuse(*args):
+        raise AssertionError("is_flat presented a submodule")
+
+    for mod in (fpmodule, homtensor):
+        monkeypatch.setattr(mod, "kernel_matrix", count)
+    monkeypatch.setattr(fpmodule, "present_submodule", refuse)
+    ring = Zmod(n)
+    for M, flat in ((cyc(ring, 2), False), (cyc(ring, 2**6), n == 10**6), (free_module(ring, 2), True)):
+        calls.clear()
+        assert is_flat(M) is flat
+        assert len(calls) <= primes
+    assert len(calls) == primes
 
 
 # ---------------------------------------------------------------------------

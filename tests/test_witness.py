@@ -104,6 +104,12 @@ def _closed_forms(ring, M, N, P, f, g, h, sub):
     out += [P_.inl, P_.inr]
     out += [base_change_mor(phi, f) for phi in _base_change_maps(ring)]
     out += [tensor_mor(f, g), tensor_mor(g, identity_morphism(M))]
+    # decode combines the generators' witnesses, which the Hom kernel holds
+    H = hom_module(M, N)
+    k = H.underlying.gens
+    out += [H.decode(Mat.identity(ring, k).col_mat(j)) for j in range(k)]
+    if k:
+        out.append(H.decode(Mat.from_ints(ring, [[j + 2] for j in range(k)])))
     return out
 
 
@@ -153,8 +159,7 @@ def _record_morphisms(monkeypatch):
 
 def test_internal_witnesses_are_certificates(monkeypatch):
     # the compositions and inclusions that summand_devissage builds (it
-    # builds no id - e), and multiplication by d and its kernel's
-    # inclusion in is_flat
+    # builds no id - e), and multiplication by each prime of n in is_flat
     M = mk_module(ZZ, Mat.from_ints(ZZ, [[2, 0], [0, 3], [0, 0]]))
     parts = tuple(SubmoduleRep(M, Mat.identity(ZZ, 3).select_columns([i])) for i in range(3))
     idempotents = [
@@ -167,6 +172,9 @@ def test_internal_witnesses_are_certificates(monkeypatch):
     Z12 = Zmod(12)
     assert not is_flat(mk_module(Z12, Mat.from_ints(Z12, [[2]])))
     assert is_flat(free_module(Z12, 1))
+    for n, d in ((30, 6), (72, 8), (10**6, 2**6)):  # flat, with torsion
+        ring = Zmod(n)
+        assert is_flat(mk_module(ring, Mat.from_ints(ring, [[d]])))
     assert len(built) > 10
     for mor in built:
         assert_certified(mor)
