@@ -7,6 +7,7 @@ are decided independently and compared per instance.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .errors import (
@@ -16,7 +17,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrix import Mat
-from .normal_forms import solvable
+from .fpmodule import SubmoduleRep, full_submodule, sub_leq
 from . import homtensor
 from .homtensor import apply_ring_map, base_change, base_change_mor
 from .limits import UNKNOWN, Tower, tower_ml_check
@@ -80,16 +81,11 @@ def descend_generators(phi, P, ext_gens):
             acc = acc.add(mapped.scale(tring.canon(scalar)))
             components.append(col)
         cols.append(acc)
-    gen_mat = Mat.zeros(tring, P.gens, 0)
-    for c in cols:
-        gen_mat = gen_mat.hstack(c)
-    target_id = Mat.identity(tring, P.gens)
-    if not solvable(gen_mat.hstack(ext.rels), target_id):
+    gen_mat = reduce(Mat.hstack, cols, Mat.zeros(tring, P.gens, 0))
+    if not sub_leq(full_submodule(ext), SubmoduleRep(ext, gen_mat)):
         raise DoesNotSpan("supplied tensors do not span the extended module")
-    comp_mat = Mat.zeros(P.ring, P.gens, 0)
-    for c in components:
-        comp_mat = comp_mat.hstack(c)
-    if not solvable(comp_mat.hstack(P.rels), Mat.identity(P.ring, P.gens)):
+    comp_mat = reduce(Mat.hstack, components, Mat.zeros(P.ring, P.gens, 0))
+    if not sub_leq(full_submodule(P), SubmoduleRep(P, comp_mat)):
         raise ComponentsDoNotSpan(
             "collected components fail to span; contradicts faithful flatness"
         )

@@ -18,10 +18,10 @@ the morphism-equation solver (homtensor._solve_morphism) and
 HomModule.decode, whose witness rows come with the Hom kernel,
 elsewhere.
 
-Equality of morphisms, containment, the zero tests and the
-direct-sum test (sub_independent, one kernel for all the parts) only
-need a verdict, so they call normal_forms.solvable, which builds no
-solution.
+Equality of morphisms, containment, the zero tests, surjectivity and
+the direct-sum test (sub_independent, one kernel for all the parts)
+only need a verdict, so they call normal_forms.solvable, which builds
+no solution.
 """
 
 from dataclasses import dataclass, field
@@ -265,8 +265,7 @@ def image(f):
 
 
 def is_surjective(f):
-    C, _ = cokernel(f)
-    return C.is_zero_module()
+    return sub_leq(full_submodule(f.target), image(f))
 
 
 def is_injective(f):

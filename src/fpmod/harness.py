@@ -113,13 +113,14 @@ def _module_from_rows(ring, rows):
 
 
 def _rand_morphism(rng, cfg, src, tgt):
-    """A random well-defined morphism, drawn from the presented Hom module."""
+    """A random well-defined morphism: a random combination of the Hom
+    module's generators."""
     H = _ht.hom_module(src, tgt)
-    if H.underlying.gens == 0:
+    if H.gen_mats.cols == 0:
         return _fp.zero_morphism(src, tgt)
     coeffs = Mat.from_ints(
-        H.underlying.ring,
-        [[_rand_entry(rng, cfg.max_entry)] for _ in range(H.underlying.gens)],
+        src.ring,
+        [[_rand_entry(rng, cfg.max_entry)] for _ in range(H.gen_mats.cols)],
     )
     return H.decode(coeffs)
 
@@ -248,8 +249,7 @@ def _check_kernel_cokernel(inst):
     K, incl = _fp.kernel(f)
     if not _fp.mor_eq(_fp.compose(f, incl), _fp.zero_morphism(K, N)):
         return False
-    K2, _ = _fp.kernel(incl)
-    return K2.is_zero_module()
+    return _fp.is_injective(incl)
 
 
 def _int_rows(A):

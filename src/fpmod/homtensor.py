@@ -19,16 +19,24 @@ the well-definedness rows (`well_defined_block`).  Two calls use them:
   fewer steps and grows smaller entries.  The split-search
   projectivity decider and purity.has_retraction use it.
 
-Hom(M, N) is presented by the kernel of the well-definedness
-constraint, whose Y rows are the generators' witnesses.  Tensor
-products use the standard presentation with relations M.rels (x) id
-and id (x) N.rels; base change applies the ring map entrywise to the
-relation matrix.
+Hom(M, N) is generated by the kernel of the well-definedness
+constraint, whose Y rows are the generators' witnesses; it is
+presented, as a submodule of N^(M.gens), only when `underlying` is
+read.  Tensor products use the standard presentation with relations
+M.rels (x) id and id (x) N.rels; base change applies the ring map
+entrywise to the relation matrix.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import DeciderDisagreement, FactorizationTooHard, RingMismatch
+from .errors import (
+    DeciderDisagreement,
+    FactorizationTooHard,
+    NotWellDefined,
+    RingMismatch,
+    SourceMismatch,
+)
 from .matrix import Mat
 from .normal_forms import kernel_matrix, solvable, solve_linear
 from .fpmodule import (
@@ -38,6 +46,7 @@ from .fpmodule import (
     free_module,
     kernel_sub,
     mk_module,
+    present_submodule,
     sub_leq,
 )
 from .rings import _is_prime
@@ -49,14 +58,18 @@ from .rings import _is_prime
 
 @dataclass(frozen=True)
 class HomModule:
-    """Hom(M, N) presented as an FpModule, with encode/decode maps."""
+    """Hom(M, N) by its generators, with encode/decode maps; `underlying` presents it."""
 
     M: FpModule
     N: FpModule
-    underlying: FpModule
     gen_mats: Mat  # columns are vec'd well-defined matrices
     triv_mats: Mat  # columns spanning the matrices equivalent to zero
     witnesses: Mat  # column j is the vec'd witness of gen_mats' column j
+
+    @cached_property
+    def underlying(self):
+        """Hom(M, N) presented: span(gen_mats) inside N^(M.gens) = coker(triv_mats)."""
+        return present_submodule(mk_module(self.M.ring, self.triv_mats), self.gen_mats)[0]
 
     def decode(self, z):
         """Morphism corresponding to an element (coordinate column).  The
@@ -69,10 +82,11 @@ class HomModule:
 
     def encode(self, f):
         """Coordinates of a morphism; inverse of decode modulo relations."""
-        big = self.gen_mats.hstack(self.triv_mats)
-        sol = solve_linear(big, f.mat.vec())
+        if f.source != self.M or f.target != self.N:
+            raise SourceMismatch("morphism does not run between this Hom module's modules")
+        sol = solve_linear(self.gen_mats.hstack(self.triv_mats), f.mat.vec())
         if sol is None:
-            raise RingMismatch("morphism does not belong to this Hom module")
+            raise NotWellDefined("morphism matrix is not well defined")
         return sol.select_rows(range(self.gen_mats.cols))
 
 
@@ -164,12 +178,9 @@ def hom_module(M, N):
     # the kernel's columns [vec X; vec Y] with X nonzero: generators and their witnesses
     n_x = N.gens * M.gens
     K = kernel_matrix(well_defined_block(M, N)).nonzero_columns(n_x)
-    W = K.select_rows(range(n_x))
     # matrices whose columns lie in span(N.rels): vec(N.rels * C) = (I (x) N.rels) vec C
     B = Mat.identity(M.ring, M.gens).kron(N.rels)
-    rels = kernel_matrix(W.hstack(B)).select_rows(range(W.cols))
-    underlying = FpModule(M.ring, W.cols, rels)
-    return HomModule(M, N, underlying, W, B, K.select_rows(range(n_x, K.rows)))
+    return HomModule(M, N, K.select_rows(range(n_x)), B, K.select_rows(range(n_x, K.rows)))
 
 
 # ---------------------------------------------------------------------------

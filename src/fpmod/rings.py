@@ -475,14 +475,15 @@ class RingMap:
     The registered maps are Integers -> Rationals (flat, not faithfully
     flat), Integers -> GaussianIntegers (free of rank 2, faithfully flat)
     and Integers -> IntegersMod(n) (not flat).  Identity maps on any ring
-    are also available.
+    are also available.  A map keeps no basis of its target over its
+    source: descend_generators takes its pure tensors with the scalars
+    already in the target ring.
     """
 
     source: RingDesc
     target: RingDesc
     flat: bool
     faithfully_flat: bool
-    basis_size: int = 1
 
     def __post_init__(self):
         if self.faithfully_flat and not self.flat:
@@ -496,17 +497,6 @@ class RingMap:
             raise UnsupportedRing(f"unsupported ring map {self.source} -> {self.target}")
         return self.target.from_int(a)
 
-    def basis_components(self, s):
-        """Coordinates of a target element in the free source-basis.
-
-        Only meaningful for free extensions (and identities).
-        """
-        if self.source == self.target:
-            return [s]
-        if self.target.kind == GAUSSIAN:
-            return [s[0], s[1]]
-        raise UnsupportedRing(f"{self.target} is not free over {self.source}")
-
     def __str__(self):
         return f"{self.source} -> {self.target}"
 
@@ -518,6 +508,4 @@ def ring_map(source, target):
     key = (source.kind, target.kind)
     if key not in _SUPPORTED_MAPS:
         raise UnsupportedRing(f"unsupported ring map {source} -> {target}")
-    flat, ff = _SUPPORTED_MAPS[key]
-    basis = 2 if target.kind == GAUSSIAN else 1
-    return RingMap(source, target, flat, ff, basis)
+    return RingMap(source, target, *_SUPPORTED_MAPS[key])

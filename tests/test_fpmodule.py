@@ -8,6 +8,7 @@ import pytest
 from fpmod.errors import NotWellDefined, SourceMismatch
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
+    FpModule,
     SubmoduleRep,
     cokernel,
     compose,
@@ -32,7 +33,8 @@ from fpmod.fpmodule import (
     zero_submodule,
 )
 from fpmod.harness import DEFAULT_RINGS, parse_ring_name
-from fpmod.rings import ZZ, QQ, Zmod
+from fpmod.homtensor import hom_module
+from fpmod.rings import ZZ, QQ, ZI, Fp, Zmod
 
 
 def zmod_cyclic(ring, d):
@@ -108,6 +110,40 @@ def test_injective_surjective():
     two = mk_morphism(Z, Z, Mat.from_ints(ZZ, [[2]]))
     assert is_injective(two) and not is_surjective(two)
     assert is_surjective(identity_morphism(Z))
+
+
+def _rand_module(rng, ring, max_gens):
+    gens = rng.randint(1, max_gens)
+    nrels = rng.randint(0, gens + 1)
+    rows = [[rng.randint(-6, 6) for _ in range(nrels)] for _ in range(gens)]
+    return mk_module(ring, Mat.from_ints(ring, rows) if nrels else Mat.zeros(ring, gens, 0))
+
+
+def test_is_surjective_asks_one_containment(monkeypatch):
+    # the cokernel's invariants are the oracle; is_surjective reads none
+    computed = []
+    invariants = FpModule.invariants
+
+    def count(M):
+        computed.append(M)
+        return invariants(M)
+
+    monkeypatch.setattr(FpModule, "invariants", count)
+    rng = random.Random("is-surjective")
+    seen = {True: 0, False: 0}
+    for ring in (ZZ, QQ, ZI, Fp(5), Zmod(12), Zmod(10**6)):
+        max_gens = 2 if ring == Zmod(10**6) else 3
+        for _ in range(60):
+            M, N = _rand_module(rng, ring, max_gens), _rand_module(rng, ring, max_gens)
+            H = hom_module(M, N)
+            z = [[rng.randint(-6, 6)] for _ in range(H.gen_mats.cols)]
+            f = H.decode(Mat.from_ints(ring, z) if z else Mat.zeros(ring, 0, 1))
+            computed.clear()
+            surjective = is_surjective(f)
+            assert not computed
+            assert surjective == cokernel(f)[0].is_zero_module()
+            seen[surjective] += 1
+    assert sum(seen.values()) >= 300 and seen[True] >= 50, seen
 
 
 def test_direct_sum_structure():

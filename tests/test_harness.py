@@ -169,3 +169,21 @@ def test_domination_heavy_instance_passes_quickly():
     start = time.perf_counter()
     assert _run_one("domination_cross_oracle", 2, HarnessConfig(seed=42, trials=3)) is None
     assert time.perf_counter() - start < 10
+
+
+def test_kernel_cokernel_pass_computes_no_invariants(monkeypatch):
+    # the kernel's inclusion is checked monic by one containment, not by
+    # presenting its kernel and reading the invariants
+    from fpmod.fpmodule import FpModule
+
+    computed = []
+    invariants = FpModule.invariants
+
+    def count(M):
+        computed.append(M)
+        return invariants(M)
+
+    monkeypatch.setattr(FpModule, "invariants", count)
+    cfg = HarnessConfig(seed=0, trials=25, max_gens=3, max_entry=6)
+    assert [_run_one("kernel_cokernel", i, cfg) for i in range(cfg.trials)] == [None] * cfg.trials
+    assert not computed

@@ -13,9 +13,16 @@ import pytest
 
 import fpmod.fpmodule as fpmodule
 import fpmod.homtensor as homtensor
-from fpmod.errors import DimensionMismatch, FactorizationTooHard, NotWellDefined, RingMismatch
+from fpmod.errors import (
+    DimensionMismatch,
+    FactorizationTooHard,
+    NotWellDefined,
+    RingMismatch,
+    SourceMismatch,
+)
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
+    FpModule,
     Morphism,
     SubmoduleRep,
     compose,
@@ -70,6 +77,49 @@ def test_hom_encode_decode_roundtrip():
         f = H.decode(z)
         z2 = H.encode(f)
         assert mor_eq(H.decode(z2), f)
+
+
+def test_hom_encode_rejects_morphisms_outside_the_hom():
+    Z, Z2, Z4 = free_module(ZZ, 1), cyc(ZZ, 2), cyc(ZZ, 4)
+    H = hom_module(Z2, Z4)
+    one = Mat.from_ints(ZZ, [[1]])
+    with pytest.raises(SourceMismatch):
+        H.encode(mk_morphism(Z, Z4, one))
+    # 1 -> 1 sends the relation 2 to 2, which is not zero in Z/4
+    with pytest.raises(NotWellDefined):
+        H.encode(Morphism(Z2, Z4, one, Mat.zeros(ZZ, 1, 1)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Fp(5), ZI, Zmod(6), Zmod(12)], ids=str)
+def test_hom_is_presented_only_when_read(monkeypatch, ring):
+    # hom_module and decode take one kernel; the presentation is the
+    # kernel of [gen_mats | triv_mats], built once, on the first read
+    calls, presented = [], []
+    kernel_matrix, present_submodule = homtensor.kernel_matrix, homtensor.present_submodule
+
+    def count(A):
+        calls.append(A)
+        return kernel_matrix(A)
+
+    def present(ambient, gens_mat):
+        presented.append(gens_mat)
+        return present_submodule(ambient, gens_mat)
+
+    monkeypatch.setattr(homtensor, "kernel_matrix", count)
+    monkeypatch.setattr(homtensor, "present_submodule", present)
+    rng = random.Random(f"hom-presented:{ring}")
+    for _ in range(20):
+        M, N = (mk_module(ring, _rand_mat(rng, ring, g, rng.randint(0, g + 1)))
+                for g in (rng.randint(1, 3), rng.randint(1, 3)))
+        calls.clear()
+        presented.clear()
+        H = hom_module(M, N)
+        H.decode(_rand_mat(rng, ring, H.gen_mats.cols, 1))
+        assert len(calls) == 1 and not presented
+        W = H.gen_mats
+        inline = FpModule(ring, W.cols, kernel_matrix(W.hstack(H.triv_mats)).select_rows(range(W.cols)))
+        assert H.underlying == inline and H.underlying is H.underlying
+        assert len(presented) == 1 and len(calls) == 1
 
 
 def _all_morphisms_brute(M, N, val_range):

@@ -227,12 +227,6 @@ def test_ring_map_registry():
         ring_map(QQ, ZI)
 
 
-def test_free_extension_basis():
-    phi = ring_map(ZZ, ZI)
-    assert phi.basis_size == 2
-    assert phi.basis_components((3, -2)) == [3, -2]
-
-
 def _trial_division_prime(p):
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
