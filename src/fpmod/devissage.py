@@ -2,7 +2,8 @@
 devissage of a direct summand cut out by an idempotent.
 
 Ordinal stages are truncated to finite length; the limit-continuity
-clause is vacuous here and recorded as such by the validator.
+clause is vacuous here and recorded as such by the validator.  Each
+verdict is a cached property, derived once per object from its fields.
 
 summand_devissage splits im(e) along unions of parts that e maps into
 themselves.  One solve_linear expresses e of every part generator in
@@ -10,8 +11,8 @@ the parts; the stages and each stage's complement in im(e) are read off
 that one solution in closed form, so no splitting is searched for.
 """
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .errors import InvalidFiltration, NotIdempotent, NotInternal, NotProjective
 from .matrix import Mat
@@ -37,60 +38,52 @@ class KaplanskyFiltration:
     ambient: FpModule
     stages: tuple  # SubmoduleRep, length L+1
     complements: tuple  # SubmoduleRep, length L
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def _verdict(self):
+        L = len(self.complements)
+        if len(self.stages) != L + 1:
+            return False, "stage/complement length mismatch"
+        if not sub_is_zero(self.stages[0]):
+            return False, "zero_eq_bot"
+        if not sub_leq(full_submodule(self.ambient), self.stages[L]):
+            return False, "union_eq_top"
+        for a in range(L):
+            if not sub_leq(self.stages[a], self.stages[a + 1]):
+                return False, f"monotone at {a}"
+        for a in range(L):
+            S, C, T = self.stages[a], self.complements[a], self.stages[a + 1]
+            if not sub_leq(C, T):
+                return False, f"complement not below successor at {a}"
+            if not sub_independent((S, C)):
+                return False, f"complement not disjoint at {a}"
+            if not sub_leq(T, sub_sum(S, C)):
+                return False, f"complement does not span successor at {a}"
+        return True, None
 
 
 @dataclass(frozen=True)
 class InternalDecomposition:
     ambient: FpModule
     parts: tuple  # SubmoduleRep
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def _verdict(self):
+        total = reduce(sub_sum, self.parts, zero_submodule(self.ambient))
+        return sub_leq(full_submodule(self.ambient), total) and sub_independent(self.parts)
 
 
 def validate_filtration(F):
     """(ok, first_violated_clause).  Limit continuity is vacuous at finite
     length and reported as satisfied.  The verdict is computed once per
     filtration."""
-    if "valid" not in F._cache:
-        F._cache["valid"] = _check_filtration(F)
-    return F._cache["valid"]
-
-
-def _check_filtration(F):
-    L = len(F.complements)
-    if len(F.stages) != L + 1:
-        return False, "stage/complement length mismatch"
-    if not sub_is_zero(F.stages[0]):
-        return False, "zero_eq_bot"
-    if not sub_leq(full_submodule(F.ambient), F.stages[L]):
-        return False, "union_eq_top"
-    for a in range(L):
-        if not sub_leq(F.stages[a], F.stages[a + 1]):
-            return False, f"monotone at {a}"
-    for a in range(L):
-        C = F.complements[a]
-        if not sub_leq(C, F.stages[a + 1]):
-            return False, f"complement not below successor at {a}"
-        if not sub_independent((F.stages[a], C)):
-            return False, f"complement not disjoint at {a}"
-        if not sub_leq(F.stages[a + 1], sub_sum(F.stages[a], C)):
-            return False, f"complement does not span successor at {a}"
-    return True, None
+    return F._verdict
 
 
 def validate_decomposition(D):
     """True iff the parts form an internal direct sum of the ambient
     module.  The verdict is computed once per decomposition."""
-    if "valid" not in D._cache:
-        D._cache["valid"] = _check_decomposition(D)
-    return D._cache["valid"]
-
-
-def _check_decomposition(D):
-    total = zero_submodule(D.ambient)
-    for p in D.parts:
-        total = sub_sum(total, p)
-    return sub_leq(full_submodule(D.ambient), total) and sub_independent(D.parts)
+    return D._verdict
 
 
 def filtration_to_decomposition(F):

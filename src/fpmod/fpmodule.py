@@ -22,10 +22,13 @@ Equality of morphisms, containment, the zero tests, surjectivity and
 the direct-sum test (sub_independent, one kernel for all the parts)
 only need a verdict, so they call normal_forms.solvable, which builds
 no solution.
+
+A module stores its ring, generator count and relations; its invariants
+are a cached property, derived from them once per module.
 """
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .errors import DimensionMismatch, NotWellDefined, RingMismatch, SourceMismatch
 from .matrix import Mat
@@ -37,7 +40,6 @@ class FpModule:
     ring: object
     gens: int
     rels: Mat
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rels.rows != self.gens:
@@ -53,9 +55,18 @@ class FpModule:
 
     def invariants(self):
         """(torsion_factors, free_rank): complete iso invariant over these rings."""
-        if "inv" not in self._cache:
-            self._cache["inv"] = _compute_invariants(self)
-        return self._cache["inv"]
+        return self._invariants
+
+    @cached_property
+    def _invariants(self):
+        # one Smith factor d per generator, each a summand cover/(d):
+        # free for d = ideal, zero for a unit, torsion otherwise
+        ring, cover = self.ring, self.ring.cover
+        factors = snf(self.lifted_rels()).invariant_factors
+        factors += (cover.zero(),) * (self.gens - len(factors))
+        free = sum(d == ring.ideal for d in factors)
+        torsion = tuple(ring.canon(d) for d in factors if d != ring.ideal and not cover.is_unit(d))
+        return torsion, free
 
     def is_zero_module(self):
         torsion, free = self.invariants()
@@ -63,17 +74,6 @@ class FpModule:
 
     def __str__(self):
         return f"FpModule({self.ring}, gens={self.gens}, rels={self.rels})"
-
-
-def _compute_invariants(M):
-    # one Smith factor d per generator, each a summand cover/(d):
-    # free for d = ideal, zero for a unit, torsion otherwise
-    ring, cover = M.ring, M.ring.cover
-    factors = snf(M.lifted_rels()).invariant_factors
-    factors += (cover.zero(),) * (M.gens - len(factors))
-    free = sum(d == ring.ideal for d in factors)
-    torsion = tuple(ring.canon(d) for d in factors if d != ring.ideal and not cover.is_unit(d))
-    return torsion, free
 
 
 def mk_module(ring, rels):

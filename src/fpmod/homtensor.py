@@ -20,11 +20,13 @@ the well-definedness rows (`well_defined_block`).  Two calls use them:
   projectivity decider and purity.has_retraction use it.
 
 Hom(M, N) is generated by the kernel of the well-definedness
-constraint, whose Y rows are the generators' witnesses; it is
-presented, as a submodule of N^(M.gens), only when `underlying` is
-read.  Tensor products use the standard presentation with relations
-M.rels (x) id and id (x) N.rels; base change applies the ring map
-entrywise to the relation matrix.
+constraint, whose Y rows are the generators' witnesses; a HomModule
+stores M, N, the generators and their witnesses.  The trivial block
+I (x) N.rels (`triv_mats`) is derived on its first read, and Hom is
+presented, inside N^(M.gens), only when `underlying` is read.  Tensor
+products use the standard presentation with relations M.rels (x) id
+and id (x) N.rels; base change applies the ring map entrywise to the
+relation matrix.
 """
 
 from dataclasses import dataclass
@@ -63,8 +65,13 @@ class HomModule:
     M: FpModule
     N: FpModule
     gen_mats: Mat  # columns are vec'd well-defined matrices
-    triv_mats: Mat  # columns spanning the matrices equivalent to zero
     witnesses: Mat  # column j is the vec'd witness of gen_mats' column j
+
+    @cached_property
+    def triv_mats(self):
+        """Columns spanning the matrices with columns in span(N.rels), which
+        are zero in Hom: vec(N.rels * C) = (I (x) N.rels) vec C."""
+        return Mat.identity(self.M.ring, self.M.gens).kron(self.N.rels)
 
     @cached_property
     def underlying(self):
@@ -178,9 +185,7 @@ def hom_module(M, N):
     # the kernel's columns [vec X; vec Y] with X nonzero: generators and their witnesses
     n_x = N.gens * M.gens
     K = kernel_matrix(well_defined_block(M, N)).nonzero_columns(n_x)
-    # matrices whose columns lie in span(N.rels): vec(N.rels * C) = (I (x) N.rels) vec C
-    B = Mat.identity(M.ring, M.gens).kron(N.rels)
-    return HomModule(M, N, K.select_rows(range(n_x)), B, K.select_rows(range(n_x, K.rows)))
+    return HomModule(M, N, K.select_rows(range(n_x)), K.select_rows(range(n_x, K.rows)))
 
 
 # ---------------------------------------------------------------------------

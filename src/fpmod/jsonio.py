@@ -157,8 +157,9 @@ class InputDoc:
 
 def _decode_module(ring, doc, where):
     """A module from a relation matrix, or from an object with 'relations'
-    and/or 'generators'.  Absent or empty relations give the free module
-    on 'generators'; given both, the row count must equal 'generators'."""
+    and/or 'generators'.  Absent relations give the free module on
+    'generators', [] (no rows, as encode_module writes the zero module) the
+    module on 0 generators; given both, the row count must equal 'generators'."""
     if not isinstance(doc, dict):
         return mk_module(ring, decode_mat(ring, doc, where))
     mring = decode_ring(doc["ring"], where + ".ring") if "ring" in doc else ring
@@ -168,11 +169,11 @@ def _decode_module(ring, doc, where):
         n = _parse_int(doc["generators"], where + ".generators")
         if n < 0:
             raise InputError(f"{where}.generators: {n} is negative")
-    if rels_doc is None or rels_doc == []:
+    if rels_doc is None:
         if n is None:
             raise InputError(f"{where}: need 'relations' (or 'generators' for free)")
         return mk_module(mring, Mat.zeros(mring, n, 0))
-    rels = decode_mat(mring, rels_doc, where + ".relations")
+    rels = Mat.zeros(mring, 0, 0) if rels_doc == [] else decode_mat(mring, rels_doc, where + ".relations")
     if n is not None and rels.rows != n:
         raise InputError(f"{where}.generators: {n} generators, but 'relations' has {rels.rows} rows")
     return mk_module(mring, rels)

@@ -14,8 +14,9 @@ _spec.loader.exec_module(bench_pairs)
 BETTER = {"throughput_per_s": "higher", "latency_p50_ms": "lower"}
 
 
-def _run(pair, side, tput, p50, attempted=100, failed=0, correct=True):
-    metrics = {"throughput_per_s": {"value": tput}, "latency_p50_ms": {"value": p50}}
+def _run(pair, side, tput, p50, attempted=100, failed=0, correct=True, rss=30.0):
+    metrics = {"throughput_per_s": {"value": tput}, "latency_p50_ms": {"value": p50},
+               "peak_rss_mb": {"value": rss}}
     result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
     return {"pair": pair, "side": side, "seed": pair, "ran_first": True, "result": result}
 
@@ -35,6 +36,37 @@ def test_wins_count_by_direction():
     assert out["throughput_per_s"]["ratio"] == 1.2
     assert out["throughput_per_s"]["parent_iqr"] == 5
     assert out["latency_p50_ms"]["change_range"] == [1.5, 3.0]
+
+
+def test_per_pair_ratios_beside_the_ratio_of_medians():
+    # the series drifts: the medians' ratio reads 0.7 while the pairs,
+    # run side by side, read even
+    runs = [
+        _run(0, "parent", 100, 2.0), _run(0, "change", 100, 2.0),
+        _run(1, "parent", 150, 2.0), _run(1, "change", 105, 1.0),
+        _run(2, "parent", 200, 2.0), _run(2, "change", 220, 4.0),
+    ]
+    out = bench_pairs.summarize(runs, BETTER)
+    tput = out["throughput_per_s"]
+    assert tput["ratio"] == 0.7
+    assert tput["pair_ratio_median"] == 1.0
+    assert tput["pair_ratio_range"] == [0.7, 1.1]
+    assert tput["change_wins"] == 1
+    p50 = out["latency_p50_ms"]
+    assert p50["pair_ratio_median"] == 1.0 and p50["pair_ratio_range"] == [0.5, 2.0]
+    assert p50["change_wins"] == 1
+
+
+def test_peak_rss_per_thousand_attempted_per_run():
+    runs = [
+        _run(1, "change", 100, 2.0, attempted=4000, rss=40.0),
+        _run(1, "parent", 100, 2.0, attempted=2000, rss=36.0),
+        _run(0, "parent", 100, 2.0, attempted=1000, rss=30.0),
+        _run(0, "change", 100, 2.0, attempted=3000, rss=33.0),
+        {"pair": 2, "side": "change", "seed": 2, "ran_first": True, "result": None},
+    ]
+    out = bench_pairs.summarize(runs, BETTER)["rss_per_1k_attempted"]
+    assert out == {"parent": [30.0, 18.0], "change": [11.0, 10.0]}
 
 
 def test_one_run_has_zero_iqr():

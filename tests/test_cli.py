@@ -7,12 +7,16 @@ import pytest
 
 from fpmod.cli import run_command
 from fpmod.errors import InputError
+from fpmod.fpmodule import free_module, zero_module
+from fpmod.harness import DEFAULT_RINGS, parse_ring_name
 from fpmod.jsonio import (
     decode_input,
     decode_mat,
     decode_scalar,
     dumps,
     encode_mat,
+    encode_module,
+    encode_ring,
     encode_scalar,
 )
 from fpmod.matrix import Mat
@@ -119,6 +123,40 @@ def test_dominates_subcommand(tmp_path, capsys):
 def test_module_generators_are_checked(tmp_path, capsys, module, clause):
     path = write(tmp_path, {"ring": {"kind": "Integers"}, "modules": {"M": module}})
     code, out = run(capsys, ["projtest", "--input", path])
+    assert code == 2
+    assert out == {"error": "InputError", "clause": clause}
+
+
+@pytest.mark.parametrize("name", DEFAULT_RINGS)
+def test_encoded_modules_decode(name):
+    # the zero module encodes as {"relations": []}, a matrix with no rows
+    ring = parse_ring_name(name)
+    for M in (zero_module(ring), free_module(ring, 2)):
+        doc = {"ring": encode_ring(ring), "modules": {"M": encode_module(M)}}
+        assert decode_input(doc).modules["M"] == M
+
+
+def test_hom_output_is_valid_input(tmp_path, capsys):
+    doc = {"ring": {"kind": "Integers"}, "modules": {"A": {"relations": [["2"]]}, "B": {"generators": "1"}}}
+    code, out = run(capsys, ["hom", "--input", write(tmp_path, doc)])
+    assert code == 0
+    assert out == {"hom": {"ring": {"kind": "Integers"}, "relations": []},
+                   "invariants": {"torsion": [], "free_rank": "0"}}
+    code, again = run(capsys, ["invariants", "--input", write(tmp_path, {**doc, "modules": {"H": out["hom"]}})])
+    assert code == 0 and again == out["invariants"]
+
+
+@pytest.mark.parametrize(
+    "module, clause",
+    [
+        ({}, "modules.M: need 'relations' (or 'generators' for free)"),
+        ({"relations": [], "generators": "2"}, "modules.M.generators: 2 generators, but 'relations' has 0 rows"),
+    ],
+    ids=["neither", "empty_relations_disagree"],
+)
+def test_module_needs_relations_or_generators(tmp_path, capsys, module, clause):
+    path = write(tmp_path, {"ring": {"kind": "Integers"}, "modules": {"M": module}})
+    code, out = run(capsys, ["invariants", "--input", path])
     assert code == 2
     assert out == {"error": "InputError", "clause": clause}
 

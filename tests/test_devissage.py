@@ -1,6 +1,7 @@
 """Filtrations, internal direct sums, summand devissage, and cyclic
 decompositions of projectives."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -128,6 +129,11 @@ def test_decomposition_validated_once(monkeypatch):
     # an equal decomposition is a new object and is checked on its own
     assert validate_decomposition(InternalDecomposition(M, (p1, p2)))
     assert len(calls) == 2 * once
+    # the verdicts are derived, not constructor arguments
+    assert [f.name for f in dataclasses.fields(InternalDecomposition)] == ["ambient", "parts"]
+    assert [f.name for f in dataclasses.fields(KaplanskyFiltration)] == [
+        "ambient", "stages", "complements",
+    ]
 
 
 def test_non_internal_decomposition_raises_every_time(monkeypatch):

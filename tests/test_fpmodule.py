@@ -1,10 +1,12 @@
 """Finitely presented modules, morphisms, kernels/cokernels, submodules."""
 
+import dataclasses
 import random
 from functools import reduce
 
 import pytest
 
+import fpmod.fpmodule as fpmodule
 from fpmod.errors import NotWellDefined, SourceMismatch
 from fpmod.matrix import Mat
 from fpmod.fpmodule import (
@@ -46,6 +48,24 @@ def test_invariants_basic():
     assert free_module(ZZ, 3).invariants() == ((), 3)
     M = mk_module(ZZ, Mat.from_ints(ZZ, [[2, 0], [0, 3]]))
     assert M.invariants() == ((6,), 0)  # Z/2 + Z/3 = Z/6
+
+
+def test_invariants_computed_once_per_module(monkeypatch):
+    smiths = []
+    snf = fpmodule.snf
+
+    def count(A):
+        smiths.append(A)
+        return snf(A)
+
+    monkeypatch.setattr(fpmodule, "snf", count)
+    M = mk_module(ZZ, Mat.from_ints(ZZ, [[2, 0], [0, 3]]))
+    assert M.invariants() == ((6,), 0)
+    assert M.invariants() is M.invariants() and not M.is_zero_module()
+    assert is_iso(M, M) and len(smiths) == 1
+    # an equal module is a new object and computes its own
+    assert is_iso(M, mk_module(ZZ, M.rels)) and len(smiths) == 2
+    assert [f.name for f in dataclasses.fields(FpModule)] == ["ring", "gens", "rels"]
 
 
 def test_invariants_over_zmod():

@@ -5,6 +5,7 @@ the decoded morphisms are enumerated and compared with the set of all
 well-defined matrices up to morphism equality.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fpmod.errors import (
     SourceMismatch,
 )
 from fpmod.matrix import Mat
+from fpmod.normal_forms import hnf, solvable
 from fpmod.fpmodule import (
     FpModule,
     Morphism,
@@ -92,10 +94,12 @@ def test_hom_encode_rejects_morphisms_outside_the_hom():
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Fp(5), ZI, Zmod(6), Zmod(12)], ids=str)
 def test_hom_is_presented_only_when_read(monkeypatch, ring):
-    # hom_module and decode take one kernel; the presentation is the
-    # kernel of [gen_mats | triv_mats], built once, on the first read
-    calls, presented = [], []
+    # hom_module and decode take one kernel and build no trivial block;
+    # the presentation is the kernel of [gen_mats | triv_mats], built
+    # once, on the first read, and encode reuses the same trivial block
+    calls, presented, krons = [], [], []
     kernel_matrix, present_submodule = homtensor.kernel_matrix, homtensor.present_submodule
+    kron = Mat.kron
 
     def count(A):
         calls.append(A)
@@ -105,21 +109,39 @@ def test_hom_is_presented_only_when_read(monkeypatch, ring):
         presented.append(gens_mat)
         return present_submodule(ambient, gens_mat)
 
+    def count_kron(A, B):
+        krons.append((A, B))
+        return kron(A, B)
+
     monkeypatch.setattr(homtensor, "kernel_matrix", count)
     monkeypatch.setattr(homtensor, "present_submodule", present)
+    monkeypatch.setattr(Mat, "kron", count_kron)
     rng = random.Random(f"hom-presented:{ring}")
     for _ in range(20):
         M, N = (mk_module(ring, _rand_mat(rng, ring, g, rng.randint(0, g + 1)))
                 for g in (rng.randint(1, 3), rng.randint(1, 3)))
+        krons.clear()
+        homtensor.well_defined_block(M, N)
+        block_krons = len(krons)
         calls.clear()
         presented.clear()
+        krons.clear()
         H = hom_module(M, N)
-        H.decode(_rand_mat(rng, ring, H.gen_mats.cols, 1))
+        f = H.decode(_rand_mat(rng, ring, H.gen_mats.cols, 1))
         assert len(calls) == 1 and not presented
+        assert len(krons) == block_krons  # the well-definedness block's own
+        krons.clear()
         W = H.gen_mats
+        assert H.underlying is H.underlying
+        assert mor_eq(H.decode(H.encode(f)), f)
+        assert krons == [(Mat.identity(ring, M.gens), N.rels)]
         inline = FpModule(ring, W.cols, kernel_matrix(W.hstack(H.triv_mats)).select_rows(range(W.cols)))
-        assert H.underlying == inline and H.underlying is H.underlying
-        assert len(presented) == 1 and len(calls) == 1
+        assert H.underlying == inline
+        assert len(presented) == 1 and len(calls) == 1 and len(krons) == 1
+    # the trivial block is derived, not a constructor argument
+    assert [f.name for f in dataclasses.fields(homtensor.HomModule)] == [
+        "M", "N", "gen_mats", "witnesses",
+    ]
 
 
 def _all_morphisms_brute(M, N, val_range):
@@ -248,6 +270,30 @@ def test_projective_four_generators_large_modulus(rows, projective):
     assert _projective_by_invariants(M) is projective
     assert _projective_by_split_search(M) is projective
     assert is_projective(M) is projective
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Fp(5), ZI], ids=str)
+def test_split_search_matches_hermite_left_inverse(ring):
+    # over a domain coker(A) is projective iff im(A) is a summand, iff the
+    # basis of im(A) in the pivot columns H of A's column Hermite form has
+    # a left inverse L (L*H = I, that is H^T * L^T = I)
+    rng = random.Random(f"split-vs-hermite:{ring}")
+    seen = {True: 0, False: 0}
+    deficient = 0
+    for _ in range(500):
+        g = rng.randint(1, 5)
+        k = rng.randint(0, g + 2)
+        A = _rand_mat(rng, ring, g, k)
+        if k > 1 and rng.random() < 0.3:
+            r = rng.randint(0, min(g, k) - 1)
+            A = _rand_mat(rng, ring, g, r).mul(_rand_mat(rng, ring, r, k))
+            deficient += 1
+        H = hnf(A)[0].nonzero_columns()
+        expected = solvable(H.transpose(), Mat.identity(ring, H.cols))
+        assert _projective_by_split_search(mk_module(ring, A)) is expected, A
+        seen[expected] += 1
+    assert deficient >= 50
+    assert seen[False] >= (100 if ring in (ZZ, ZI) else 0)
 
 
 def test_projective_cyclic_matches_valuations_and_split_search():

@@ -7,11 +7,17 @@ that runs first alternates from pair to pair.
 Every run's exit code and result line (the last stdout line of run.py)
 are kept; a run that exits nonzero is kept with no result.  Each
 end-to-end metric is summarized over the pairs: both sides' medians and
-ranges, the change/parent ratio of the medians, the parent's
-interquartile distance, and in how many pairs the change was better.
+ranges, the change/parent ratio of the medians, the median and range of
+the per-pair change/parent ratios, the parent's interquartile distance,
+and in how many pairs the change was better.  The ratio of medians is
+not a paired statistic: when the machine drifts within a series it can
+disagree with the per-pair ratios, which compare runs made side by side.
 The summary's "outcomes" entry gives each side's totals over its runs:
 runs that exited nonzero, inputs attempted and failed, the failed share,
-and how many runs reported correct.
+and how many runs reported correct.  Its "rss_per_1k_attempted" entry
+gives each run's peak_rss_mb per 1,000 inputs attempted, in pair order:
+a run that keeps every result grows with the inputs it attempts, so a
+faster run can read higher on peak_rss_mb at the same memory per input.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --plan harness-tail:10:201 --plan harness-broad:5:101 \\
@@ -84,22 +90,39 @@ def outcomes(runs):
     return out
 
 
+def rss_per_1k_attempted(runs):
+    """Per side, each run's peak_rss_mb per 1,000 attempted inputs, in
+    pair order; runs without a result, an attempt or an RSS reading are
+    left out."""
+    out = {}
+    for side in SIDES:
+        results = [r["result"] for r in sorted(runs, key=lambda r: r["pair"])
+                   if r["side"] == side and r["result"] and r["result"]["attempted"]]
+        out[side] = [round(1000 * res["metrics"]["peak_rss_mb"]["value"] / res["attempted"], 4)
+                     for res in results if "peak_rss_mb" in res["metrics"]]
+    return out
+
+
 def summarize(runs, better):
-    """Per metric: medians, ranges and quartile spread of each side, and
-    wins; under "outcomes", each side's attempted/failed/correct totals."""
+    """Per metric: medians, ranges and quartile spread of each side, the
+    per-pair ratios, and wins; under "outcomes", each side's
+    attempted/failed/correct totals; under "rss_per_1k_attempted", each
+    run's peak RSS per 1,000 attempted inputs."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs if r["result"]}
-    out = {"outcomes": outcomes(runs)}
+    out = {"outcomes": outcomes(runs), "rss_per_1k_attempted": rss_per_1k_attempted(runs)}
     for name, direction in better.items():
         vals = {side: [value[p, side][name]["value"] for p in pairs if (p, side) in value]
                 for side in SIDES}
         if not vals["parent"] or not vals["change"]:
             continue
-        wins = 0
+        wins, ratios = 0, []
         for p in pairs:
             if (p, "parent") in value and (p, "change") in value:
                 a, b = value[p, "parent"][name]["value"], value[p, "change"][name]["value"]
                 wins += b < a if direction == "lower" else b > a
+                if a:
+                    ratios.append(b / a)
         q1, _, q3 = (statistics.quantiles(vals["parent"], n=4, method="inclusive")
                      if len(vals["parent"]) > 1 else vals["parent"] * 3)
         pm, cm = statistics.median(vals["parent"]), statistics.median(vals["change"])
@@ -107,6 +130,8 @@ def summarize(runs, better):
             "parent_median": pm,
             "change_median": cm,
             "ratio": round(cm / pm, 4) if pm else None,
+            "pair_ratio_median": round(statistics.median(ratios), 4) if ratios else None,
+            "pair_ratio_range": [round(min(ratios), 4), round(max(ratios), 4)] if ratios else None,
             "change_wins": wins,
             "pairs": len(pairs),
             "parent_iqr": round(q3 - q1, 4),
@@ -177,8 +202,12 @@ def new_doc(args, parent_rev, seconds):
                     "alternating from pair to pair; each side runs from its own checkout",
         "machine": args.machine or f"{platform.machine()}, {os.cpu_count()} cpus, "
                                    f"Python {platform.python_version()}",
-        "summary_fields": "medians over pairs; change_wins counts pairs where the change is "
-                          "better; parent_iqr is the distance between the parent's quartiles",
+        "summary_fields": "medians over pairs; ratio is the change/parent ratio of the medians, "
+                          "pair_ratio_median and pair_ratio_range summarize the per-pair "
+                          "change/parent ratios; change_wins counts pairs where the change is "
+                          "better; parent_iqr is the distance between the parent's quartiles; "
+                          "rss_per_1k_attempted is each run's peak_rss_mb per 1,000 attempted "
+                          "inputs, in pair order",
         "workloads": {},
         "confirmation": {},
     }
