@@ -47,8 +47,8 @@ class HarnessConfig:
     def __post_init__(self):
         if self.trials < 0:
             raise FpmodError("trials must be >= 0")
-        if not 1 <= self.max_gens <= 4:
-            raise FpmodError("max_gens must be in 1..4")
+        if not 1 <= self.max_gens <= 6:
+            raise FpmodError("max_gens must be in 1..6")
         if not 1 <= self.max_entry <= 10:
             raise FpmodError("max_entry must be in 1..10")
         if not self.rings:
@@ -144,7 +144,7 @@ def _gen_snf(rng, cfg):
 
 
 def _minor_gcd(rows, k):
-    """gcd of all k x k minors, by exact cofactor expansion (dims <= 4)."""
+    """gcd of all k x k minors, by exact cofactor expansion (dims <= 6)."""
     import itertools
     import math
 

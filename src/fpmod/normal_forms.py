@@ -1,52 +1,44 @@
 """Hermite/Smith normal forms and exact linear solving.
 
-One Smith and one Hermite elimination serve every Euclidean ring
-(integers, rationals, prime fields, Gaussian integers).  They take the
-Euclidean entries of the ring's one arithmetic table, its rings.RingOps
-(rings.RingDesc.elim_ops), bound once per call: norm, Euclidean quotient
-and remainder, associate unit, and whole-row and whole-column updates.
-Any other ring is cover/(ideal) for its Euclidean cover (Z/n is Z/(n));
-`lift` is the one place that turns a matrix over it into one over the
-cover, with ideal*identity columns appended.  solve_linear,
-kernel_matrix and FpModule.lifted_rels all go through it.
+One elimination loop, the column Hermite elimination _echelon, serves
+every Euclidean ring (integers, rationals, prime fields, Gaussian
+integers).  It takes the Euclidean entries of the ring's one arithmetic
+table, its rings.RingOps (rings.RingDesc.elim_ops), bound once per
+call: norm, Euclidean quotient and remainder, associate unit, and
+whole-row and whole-column updates.  Any other ring is cover/(ideal)
+for its Euclidean cover (Z/n is Z/(n)); `lift` is the one place that
+turns a matrix over it into one over the cover, with ideal*identity
+columns appended.
 
-One rule hands back the transforms: a transform that a function
-returns rides along on the rows it eliminates, and a transform that
-is applied to a right-hand side stays a log (Cohen, GTM 138, 2.4).
-Row operations act on whole rows and column operations on every row,
-while the pivot search reads only the leading rows x cols block, so
-identity columns appended to the right of A come out as the row
-transform, and identity rows appended below A as the column transform.
+A transform that a function returns rides along on the rows it
+eliminates, and one that is applied to a right-hand side stays a log
+(Cohen, GTM 138, 2.4).  Row operations act on whole rows and column
+operations on every row, while the pivot search reads only the leading
+rows x cols block, so identity columns appended to the right of A come
+out as the row transform, and identity rows appended below A as the
+column transform U with A*U = H.
 
-The Hermite elimination (_echelon) is a generator: it yields each row
-as soon as that row is final, since later steps touch only lower rows
-and later columns.  Three entry points share it:
+_echelon yields each row as soon as it is final, since later steps
+touch only lower rows and later columns.  Every entry point runs it:
 
-- solve_linear forward-substitutes each row of H*Y = B as it arrives
-  and returns None at the first inconsistent row, leaving the rows
-  below it uneliminated.  Its column operations go to a log, A*U = H
-  for their product U, and it forms X = U*[Y; 0] by replaying the log
-  last step first as row operations on [Y; 0], B.cols entries a step.
-- solvable does the same walk for the verdict alone: no log is kept
-  and nothing is replayed.  Callers that only test for a solution use
-  it.
-- hnf appends identity rows below A, which come out as U, and reduces
-  the entries left of each pivot as its row arrives.  Only hnf does
-  this: the reduction only mixes pivot columns, so U*[Y; 0] is the same
-  without it, and the solver keeps each pivot column final once its
-  row is.
-
-The Smith elimination gives U*A*V = D.  snf appends the identity to
-the right of A's rows, for U, and identity rows below A, for V.
-kernel_matrix reads only V's columns past the rank, so it appends only
-the rows below; is_unimodular reads only D's diagonal and appends
-nothing.  Invariant factors come from snf.
-
-A zero right-hand side never reaches the elimination: solve_linear
-returns the zero solution, and solvable True, straight away.
+- solve_linear forward-substitutes each row of H*Y = B as it arrives,
+  returns None at the first inconsistent row, and forms X = U*[Y; 0]
+  by replaying its log of column operations as row operations on
+  [Y; 0].  solvable does the same walk for the verdict alone.
+- kernel_matrix reads U's columns past the rank of H, and is_unimodular
+  the pivots of a square H, whose product is det A up to a unit.
+- hnf also reduces the entries left of each pivot as its row arrives
+  (_hermite).  That only mixes pivot columns, so the solver's X and the
+  kernel's span are the same without it.
+- snf alternates Hermite forms of A and of its transpose until the
+  matrix is diagonal, then sorts the diagonal into divisor order by 2x2
+  Bezout steps, each an _echelon of one row (Kannan and Bachem, SIAM J.
+  Comput. 8, 1979).  The invariant factors come from A's own rows; U
+  and V ride along only in a second run, when first read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch, UnsupportedRing
 from .matrix import Mat
@@ -54,14 +46,37 @@ from .matrix import Mat
 
 @dataclass(frozen=True)
 class SmithForm:
-    U: Mat
-    D: Mat
-    V: Mat
+    """U*A*V = D: D is diagonal, its nonzero entries the invariant
+    factors, each dividing the next.  D, U and V are built when read."""
+
+    A: Mat
     invariant_factors: tuple
 
     @property
     def rank(self):
         return len(self.invariant_factors)
+
+    @cached_property
+    def D(self):
+        A = self.A
+        entries = [A.ring.zero()] * (A.rows * A.cols)
+        for i, d in enumerate(self.invariant_factors):
+            entries[i * A.cols + i] = d
+        return Mat(A.ring, A.rows, A.cols, tuple(entries))
+
+    @cached_property
+    def _transforms(self):
+        # [A | I] over [I | 0]: U comes out to the right of D, and V below it
+        A, m, n = self.A, self.A.rows, self.A.cols
+        ops = A.ring.elim_ops()
+        M = [row + e for row, e in zip(A.to_rows(), _identity_rows(ops, m))]
+        M += [e + [ops.zero] * m for e in _identity_rows(ops, n)]
+        M, _ = _smith(ops, M, m, n)
+        U = _rows_mat(A.ring, [row[n:] for row in M[:m]], m)
+        return U, _rows_mat(A.ring, [row[:n] for row in M[m:]], n)
+
+    U = property(lambda self: self._transforms[0])
+    V = property(lambda self: self._transforms[1])
 
 
 # ---------------------------------------------------------------------------
@@ -73,99 +88,9 @@ def _identity_rows(ops, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _diagonalize_from(ops, D, t0, rows, cols):
-    """Diagonalize the leading rows x cols block of D from (t0, t0) on.
-
-    Each step moves a nonzero of least norm to (t, t), then clears row
-    and column t by Euclidean steps, swapping a smaller remainder in as
-    the new pivot until both are clear.  Row operations act on whole
-    rows and column operations on every row of D, so the transforms
-    ride along on whatever D holds past the block.
-    """
-    z, norm, quo = ops.zero, ops.norm, ops.quo
-    sub_row, sub_col = ops.sub_row, ops.sub_col
-    for t in range(t0, min(rows, cols)):
-        bi = bj = -1
-        best = 0
-        for i in range(t, rows):
-            row = D[i]
-            for j in range(t, cols):
-                v = row[j]
-                if v != z:
-                    nv = norm(v)
-                    if bi < 0 or nv < best:
-                        bi, bj, best = i, j, nv
-        if bi < 0:
-            return
-        if bi != t:
-            D[bi], D[t] = D[t], D[bi]
-        if bj != t:
-            _swap_cols(D, bj, t)
-        restart = True
-        while restart:
-            restart = False
-            Dt = D[t]
-            p = Dt[t]
-            for i in range(t + 1, rows):
-                Di = D[i]
-                if Di[t] != z:
-                    q = quo(Di[t], p)
-                    if q != z:
-                        D[i] = Di = sub_row(Di, Dt, q)
-                    if Di[t] != z:
-                        D[i], D[t] = Dt, Di
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if Dt[j] != z:
-                    q = quo(Dt[j], p)
-                    if q != z:
-                        sub_col(D, j, t, q)
-                    if Dt[j] != z:
-                        _swap_cols(D, j, t)
-                        restart = True
-                        break
-
-
 def _swap_cols(M, j, k):
     for row in M:
         row[j], row[k] = row[k], row[j]
-
-
-def _snf_rows(ops, D, rows, cols):
-    """Smith form of the leading rows x cols block of the rows D, in
-    place: returns its rank, the number of nonzero diagonal entries,
-    which come first.
-
-    Appending the identity to the right of A's rows makes those columns
-    U, and appending identity rows below A makes those rows V, with
-    U*A*V = D: see _diagonalize_from.
-    """
-    z = ops.zero
-    k = min(rows, cols)
-    _diagonalize_from(ops, D, 0, rows, cols)
-    while True:
-        # the first d_i that does not divide a nonzero d_{i+1}
-        for bad in range(k - 1):
-            d, e = D[bad][bad], D[bad + 1][bad + 1]
-            if d != z and e != z and ops.rem(e, d) != z:
-                break
-        else:
-            break
-        # fold column bad+1 into column bad, then re-diagonalize the tail
-        ops.sub_col(D, bad, bad + 1, ops.minus_one)
-        _diagonalize_from(ops, D, bad, rows, cols)
-    rank = 0
-    for i in range(k):
-        d = D[i][i]
-        if d != z:
-            rank += 1
-            u = ops.unit(d)
-            if u != ops.one:
-                D[i] = ops.scale_row(D[i], u)
-    return rank
 
 
 def _echelon(ops, H, rows, cols, step):
@@ -177,14 +102,14 @@ def _echelon(ops, H, rows, cols, step):
     r and column c when (r, c) is yielded, and may stop after any row.
     The pivot is a normalized (unit-scaled) entry with zeros to its
     right, and the pivot columns are 0, 1, ... in order.  Entries left
-    of a pivot are not reduced here: hnf does that between yields.
+    of a pivot are not reduced here: _hermite does that between yields.
 
     Column operations act on every row from r on, so identity rows
     appended below the first rows come out as the transform U with
     A*U = H.  Each one also goes to step, as (j, k, q) for "column
     j -= q*column k", (j, k, None) for swapping columns j and k, or
     (j, None, u) for scaling column j by the unit u: solve_linear logs
-    them for _apply_transform.
+    them for _apply_transform, and _bezout replays them.
     """
     z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
     c = 0
@@ -242,8 +167,7 @@ def _forward(ops, H, R, rows, cols, step):
 
     Y has one row per pivot column.  Each row of H is substituted as
     soon as it is final, so an inconsistent system stops the
-    elimination there.  Left of its pivot a row is not reduced: that
-    would only mix pivot columns, so U*[Y; 0] is the same either way.
+    elimination there.
     """
     z, quo, rem, sub, mul = ops.zero, ops.quo, ops.rem, ops.sub, ops.mul
     Y = []  # row t of Y, for the pivot column t
@@ -283,6 +207,98 @@ def _apply_transform(ops, log, Z):
             Z[k] = sub_row(Z[k], Z[j], q)
 
 
+def _hermite(ops, H, rows, cols):
+    """_echelon with each row's entries left of its pivot reduced by the
+    pivot as soon as the row is final: the column Hermite form, a row at
+    a time.  Like _echelon's, its column operations act on rows r.."""
+    z, quo, sub_col = ops.zero, ops.quo, ops.sub_col
+    for r, c in _echelon(ops, H, rows, cols, _discard):
+        if c is not None:
+            Hl = H[r:]
+            Hr = Hl[0]
+            p = Hr[c]
+            for j in range(c):
+                if Hr[j] != z:
+                    q = quo(Hr[j], p)
+                    if q != z:
+                        sub_col(Hl, j, c, q)
+        yield r, c
+
+
+def _smith(ops, M, rows, cols):
+    """Smith form of the leading rows x cols block of the rows M: returns
+    (M, k) with the block diagonal, its first k entries nonzero,
+    normalized and each dividing the next, and the rest zero.
+
+    Column Hermite forms of the block and of its transpose alternate
+    until every nonzero of the block is a pivot.  A round either leaves
+    the first pivot alone in its row and column, for good, or replaces
+    it by a proper divisor, so the rounds end.  M is transposed whole,
+    so the identity rows below the block (V) and columns to its right
+    (U) trade places and keep riding along.  Then a row permutation
+    puts the pivots on the diagonal, and _bezout sorts them.
+    """
+    z = ops.zero
+    flipped = False
+    while True:
+        pivots = []
+        diagonal = True
+        for r, c in _hermite(ops, M, rows, cols):
+            if c is not None:
+                pivots.append(r)
+            if diagonal:
+                row = M[r]
+                diagonal = all(row[j] == z for j in range(cols) if j != c)
+        if diagonal:
+            break
+        M = [list(col) for col in zip(*M)]
+        rows, cols = cols, rows
+        flipped = not flipped
+    # pivot t sits in column t: its row moves to row t
+    M[:rows] = [M[r] for r in pivots] + [M[r] for r in range(rows) if r not in pivots]
+    if flipped:
+        M = [list(col) for col in zip(*M)]
+    k = len(pivots)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if ops.rem(M[j][j], M[i][i]) != z:
+                _bezout(ops, M, i, j)
+    return M, k
+
+
+def _bezout(ops, M, i, j):
+    """Replace the diagonal entries a = M[i][i] and b = M[j][j] of the
+    rows M by gcd(a, b) and lcm(a, b), both normalized.
+
+    Adding row j to row i puts b beside a.  The column operations that
+    _echelon takes the one row (a, b) to (g, 0) with are replayed on
+    columns i and j of every row.  Row j then holds multiples of b, and
+    so of g, in those columns, and one row step leaves the lcm alone in
+    it, up to a unit.
+    """
+    z, sub_row = ops.zero, ops.sub_row
+    at = (i, j)
+
+    def replay(step):
+        a, b, q = step
+        if b is None:
+            ops.scale_col(M, at[a], q)
+        elif q is None:
+            _swap_cols(M, at[a], at[b])
+        else:
+            ops.sub_col(M, at[a], at[b], q)
+
+    M[i] = Mi = sub_row(M[i], M[j], ops.minus_one)
+    for _ in _echelon(ops, [[Mi[i], Mi[j]]], 1, 2, replay):
+        pass
+    Mi, Mj = M[i], M[j]
+    if Mj[i] != z:
+        M[j] = Mj = sub_row(Mj, Mi, ops.quo(Mj[i], Mi[i]))
+    u = ops.unit(Mj[j])
+    if u != ops.one:
+        M[j] = ops.scale_row(Mj, u)
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -300,46 +316,21 @@ def _euclidean_ops(A, name):
 
 
 def snf(A):
-    """Smith normal form of A: U*A*V = D over a Euclidean ring.
-
-    The rows eliminated are A's rows with the identity appended, then
-    identity rows: U comes out to the right of D, and V below it.
-    """
-    ring, m, n = A.ring, A.rows, A.cols
+    """Smith normal form of A: U*A*V = D over a Euclidean ring.  The
+    invariant factors come from A's own rows; U and V when first read."""
     ops = _euclidean_ops(A, "snf")
-    D = [row + e for row, e in zip(A.to_rows(), _identity_rows(ops, m))]
-    D += _identity_rows(ops, n)
-    k = _snf_rows(ops, D, m, n)
-    return SmithForm(
-        _rows_mat(ring, [row[n:] for row in D[:m]], m),
-        _rows_mat(ring, [row[:n] for row in D[:m]], n),
-        _rows_mat(ring, D[m:], n),
-        tuple(D[i][i] for i in range(k)),
-    )
+    M, k = _smith(ops, A.to_rows(), A.rows, A.cols)
+    return SmithForm(A, tuple(M[i][i] for i in range(k)))
 
 
 def hnf(A):
     """Column Hermite form: returns (H, U) with H = A*U, U unimodular.
-
-    U rides along as identity rows below A.  Each row's entries left of
-    its pivot are reduced by the pivot as soon as the row is final; only
-    hnf does this.
-    """
+    U rides along as identity rows below A."""
     ring, m = A.ring, A.rows
     ops = _euclidean_ops(A, "hnf")
-    z, quo, sub_col = ops.zero, ops.quo, ops.sub_col
     H = A.to_rows() + _identity_rows(ops, A.cols)
-    for r, c in _echelon(ops, H, m, A.cols, _discard):
-        if c is None:
-            continue
-        Hl = H[r:]
-        Hr = Hl[0]
-        p = Hr[c]
-        for j in range(c):
-            if Hr[j] != z:
-                q = quo(Hr[j], p)
-                if q != z:
-                    sub_col(Hl, j, c, q)
+    for _ in _hermite(ops, H, m, A.cols):
+        pass
     return _rows_mat(ring, H[:m], A.cols), _rows_mat(ring, H[m:], A.cols)
 
 
@@ -421,25 +412,29 @@ def solvable(A, B):
 
 
 def kernel_matrix(A):
-    """Columns generating {x : A*x = 0} over the ring: the last columns
-    of the Smith V, past the rank.  Only V rides along, as identity rows
-    below A; no U is built."""
+    """Columns generating {x : A*x = 0} over the ring: with A*U = H in
+    column echelon form, the columns of U past the rank of H.  U rides
+    along as identity rows below A."""
     ring = A.ring
     if ring.cover is not ring:
         K = kernel_matrix(lift(A))
         return _as_ring(K.select_rows(range(A.cols)), ring).nonzero_columns()
-    ops = _euclidean_ops(A, "snf")
-    D = A.to_rows() + _identity_rows(ops, A.cols)
-    k = _snf_rows(ops, D, A.rows, A.cols)
-    return Mat(ring, A.cols, A.cols - k, tuple(e for row in D[A.rows :] for e in row[k:]))
+    ops = _euclidean_ops(A, "kernel_matrix")
+    H = A.to_rows() + _identity_rows(ops, A.cols)
+    k = sum(c is not None for _, c in _echelon(ops, H, A.rows, A.cols, _discard))
+    return Mat(ring, A.cols, A.cols - k, tuple(e for row in H[A.rows :] for e in row[k:]))
 
 
 def is_unimodular(A):
-    """True iff A is square with unit determinant: its Smith diagonal
-    holds units only."""
+    """True iff A is square with unit determinant.  A square column
+    echelon form is lower triangular with det A, up to a unit, on its
+    diagonal: every row needs a unit pivot, and the elimination stops
+    at the first row without one."""
     if A.rows != A.cols:
         return False
-    ops = _euclidean_ops(A, "snf")
-    D = A.to_rows()
-    _snf_rows(ops, D, A.rows, A.cols)
-    return all(A.ring.is_unit(D[i][i]) for i in range(A.rows))
+    ops = _euclidean_ops(A, "is_unimodular")
+    H = A.to_rows()
+    for r, c in _echelon(ops, H, A.rows, A.cols, _discard):
+        if c is None or not A.ring.is_unit(H[r][c]):
+            return False
+    return True

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, each with an explicit trial
+"""Acceptance gate: eleven end-to-end criteria, each with an explicit trial
 count, exact (zero-tolerance) arithmetic, and a wall-clock budget.
 
 Every test prints a single PASS line with its measured time so the run
@@ -349,3 +349,12 @@ def test_criterion_10_harness_determinism():
         assert report_json(alone["suites"][suite]) == report_json(r1["suites"][suite])
     _report(10, "full harness, seed 42: two runs byte-identical, each suite alone matches",
             time.monotonic() - start, 120)
+
+
+def test_criterion_11_harness_six_generators():
+    start = time.monotonic()
+    report, code = run_harness(HarnessConfig(seed=0, trials=10, max_gens=6))
+    assert code == 0
+    assert all(not s["failures"] for s in report["suites"].values())
+    _report(11, "harness sweep at 6 generators, seed 0, 10 trials: no failures",
+            time.monotonic() - start, 30)

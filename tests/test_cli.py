@@ -146,6 +146,22 @@ def test_hom_output_is_valid_input(tmp_path, capsys):
     assert code == 0 and again == out["invariants"]
 
 
+def test_hom_of_the_five_generator_fixture_within_budget(tmp_path, capsys):
+    """M = Z/2 + Z/264 presented on five generators, so Hom(M, M) is
+    Z/2^3 + Z/264.  Its Smith kernel had not answered after 15 s; the 2 s
+    budget is not to be loosened."""
+    rels = [["4", "-1", "2", "4", "1"], ["1", "3", "0", "4", "-4"], ["2", "4", "-2", "4", "4"],
+            ["-1", "2", "-4", "3", "1"], ["4", "-1", "4", "2", "3"]]
+    doc = {"ring": {"kind": "Integers"}, "modules": {"A": {"relations": rels}, "B": {"relations": rels}}}
+    path = write(tmp_path, doc)
+    start = time.perf_counter()
+    code, out = run(capsys, ["hom", "--input", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out["invariants"] == {"torsion": ["2", "2", "2", "264"], "free_rank": "0"}
+    assert elapsed < 2.0, f"fpmod hom took {elapsed:.2f} s"
+
+
 @pytest.mark.parametrize(
     "module, clause",
     [

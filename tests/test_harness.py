@@ -26,6 +26,9 @@ def test_config_validation():
     with pytest.raises(FpmodError):
         HarnessConfig(seed=1, trials=1, max_gens=9)
     with pytest.raises(FpmodError):
+        HarnessConfig(seed=1, trials=1, max_gens=7)
+    assert HarnessConfig(seed=1, trials=1, max_gens=6).max_gens == 6
+    with pytest.raises(FpmodError):
         HarnessConfig(seed=1, trials=1, max_entry=99)
     with pytest.raises(FpmodError):
         HarnessConfig(seed=1, trials=1, rings=())
@@ -69,7 +72,7 @@ def test_instance_stream_digest():
         gen, _check = SUITES[name]
         for i in range(cfg.trials):
             h.update(dumps([name, i, gen(random.Random(derived_seed(0, name, i)), cfg)]).encode())
-    assert h.hexdigest() == "05b6b2e133fc804ba3efa2f8636f66319bef02af31d1604f6d8e960463fe84c2"
+    assert h.hexdigest() == "f266ca38641df0e01a283e3d15009d425507c9ab90e0290344edeb387e689905"
 
 
 def test_suites_pickle():

@@ -7,7 +7,9 @@ well-defined matrices up to morphism equality.
 
 import dataclasses
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,6 +183,55 @@ def test_hom_counts_match_brute_force(m_rels, n_rels):
     bound = max(abs(e) for row in n_rels for e in row) + 1
     brute = _all_morphisms_brute(M, N, range(0, bound * 2))
     assert len(brute) == size
+
+
+# ---------------------------------------------------------------------------
+# Hom past four generators, within fixed budgets
+
+
+def _elementary_divisors(factors, ideal):
+    """(sorted prime powers, free rank) of the sum of R/(d) over factors,
+    with R = cover/(ideal): d == ideal is a free summand."""
+    free = sum(d == ideal for d in factors)
+    powers = (p**e for d in factors if d != ideal for p, e in _prime_factorization(d).items())
+    return sorted(powers), free
+
+
+def _hom_by_gcd_formula(M, N):
+    """Hom(M, N) = sum of R/gcd(a_j, b_i) over the cyclic summands R/(a_j)
+    of M and R/(b_i) of N, as elementary divisors."""
+    ideal = M.ring.ideal
+
+    def cyclic(X):
+        torsion, free = X.invariants()
+        return [int(d) for d in torsion] + [ideal] * free
+
+    return _elementary_divisors([math.gcd(a, b) for a in cyclic(M) for b in cyclic(N)], ideal)
+
+
+def _dense_module(ring, gens, rels, seed, lo, hi):
+    """gens generators and rels relations, entries drawn from [lo, hi]."""
+    rng = random.Random(f"dense:{ring}:{gens}:{rels}:{seed}")
+    return mk_module(ring, Mat.from_ints(ring, [[rng.randint(lo, hi) for _ in range(rels)] for _ in range(gens)]))
+
+
+@pytest.mark.parametrize(
+    "ring, gens, rels, seed",
+    [(Zmod(10**6), 4, r, s) for r in (3, 4) for s in (1, 2, 3)] + [(ZZ, g, g, s) for g in (6, 7) for s in (1, 2, 3)],
+    ids=str,
+)
+def test_hom_past_four_generators_within_budget(ring, gens, rels, seed):
+    """Hom(M, M) of a dense module answers within 2 s and equals the gcd
+    formula.  With Smith kernels and Smith invariants none of these had
+    answered after 20 s.  The budget is not to be loosened."""
+    lo, hi = (-4, 4) if ring == ZZ else (0, ring.modulus - 1)
+    M = _dense_module(ring, gens, rels, seed, lo, hi)
+    start = time.perf_counter()
+    torsion, free = hom_module(M, M).underlying.invariants()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"Hom(M, M) took {elapsed:.2f} s"
+    ideal = ring.ideal
+    assert _elementary_divisors([int(d) for d in torsion] + [ideal] * free, ideal) == _hom_by_gcd_formula(M, M)
 
 
 def test_tensor_worked_examples():

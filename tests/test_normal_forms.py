@@ -5,6 +5,7 @@ first k invariant factors equals the gcd of all k x k minors, computed
 here by independent cofactor expansion.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fpmod.normal_forms as nf
 from fpmod.errors import DimensionMismatch, UnsupportedRing
+from fpmod.fpmodule import mk_module
 from fpmod.matrix import Mat
 from fpmod.normal_forms import hnf, is_unimodular, kernel_matrix, lift, snf, solve_linear
 from fpmod.rings import INTEGERS_MOD, ZZ, QQ, ZI, Fp, Zmod
@@ -402,36 +404,192 @@ def _kernel_via_snf(A):
     return sf.V.select_columns(range(sf.rank, A.cols))
 
 
+def _same_span(K, L):
+    """The columns of K and L span the same submodule."""
+    if not K.cols or not L.cols:
+        return K.is_zero() and L.is_zero()
+    return nf.solvable(K, L) and nf.solvable(L, K)
+
+
 def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
-    """kernel_matrix and is_unimodular eliminate rows of A.cols entries,
-    with no U riding along; snf's rows carry U, A.rows entries more."""
-    widths = []
-    snf_rows = nf._snf_rows
+    """Only what a caller reads rides along on the Hermite eliminations.
+    kernel_matrix runs one, with U as identity rows below A's rows and
+    nothing to their right, and its columns span the Smith kernel's
+    span.  snf's invariant factors and is_unimodular eliminate A's rows
+    alone; reading U or V of an snf runs the eliminations again with
+    both transforms riding along."""
+    calls = []  # (rows in H, rows eliminated, cols, widest row of H)
+    echelon = nf._echelon
 
-    def record(ops, D, rows, cols):
-        widths.append((cols, [len(row) for row in D[:rows]]))
-        return snf_rows(ops, D, rows, cols)
+    def record(ops, H, rows, cols, step):
+        calls.append((len(H), rows, cols, max(map(len, H), default=0)))
+        return echelon(ops, H, rows, cols, step)
 
-    monkeypatch.setattr(nf, "_snf_rows", record)
+    monkeypatch.setattr(nf, "_echelon", record)
     for ring in SOLVE_RINGS:
         rng = random.Random(f"no-smith-transform:{ring}")
         for _ in range(10):
             r, c = rng.randint(0, 4), rng.randint(0, 5)
             rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
             A = Mat.from_rows(ring, rows) if r and c else Mat.zeros(ring, r, c)
-            ref = _kernel_via_snf(A)
             L = lift(A)  # what the elimination sees: A itself, or [A | n*I] over Z
-            assert widths == [(L.cols, [L.cols + L.rows] * L.rows)]
-            widths.clear()
+            ref = _kernel_via_snf(A)
+            calls.clear()
             K = kernel_matrix(A)
-            assert widths == [(L.cols, [L.cols] * L.rows)]
-            widths.clear()
-            assert K == ref
-            assert A.mul(K).is_zero()
+            assert calls == [(L.rows + L.cols, L.rows, L.cols, L.cols)]
+            assert A.mul(K).is_zero() and _same_span(K, ref)
+            calls.clear()
+            sf = snf(L)
+            assert all(n == rows and width <= cols for n, rows, cols, width in calls)
+            calls.clear()
+            assert sf.U.rows == L.rows
+            if L.rows and L.cols:
+                # every call but the one-row Bezout steps carries U and V
+                assert calls and all(n > rows and width == n for n, rows, cols, width in calls if n > 1)
     for A, unimodular in [([[2, 1], [1, 1]], True), ([[2, 0], [0, 1]], False)]:
+        calls.clear()
         assert is_unimodular(Mat.from_ints(ZZ, A)) is unimodular
-        assert widths == [(2, [2, 2])]
-        widths.clear()
+        assert calls == [(2, 2, 2, 2)]
+    # a module's invariants read only the factors
+    calls.clear()
+    assert mk_module(Zmod(12), Mat.from_ints(Zmod(12), [[2, 4], [6, 3]])).invariants() == ((6,), 0)
+    assert calls and all(n == rows for n, rows, cols, width in calls)
+
+
+def _gauss_divmod(a, b):
+    """Gaussian-integer quotient and remainder, a and b as (re, im)."""
+    n = b[0] * b[0] + b[1] * b[1]
+    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]  # a * conj(b)
+    q = ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
+    return q, (a[0] - q[0] * b[0] + q[1] * b[1], a[1] - q[0] * b[1] - q[1] * b[0])
+
+
+def _gauss_gcd(a, b):
+    while b != (0, 0):
+        a, b = b, _gauss_divmod(a, b)[1]
+    return a
+
+
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+# (add, mul, negate, gcd, zero, one) for each ring of the minor oracle; over
+# a field the gcd of a set of minors is 1 if any of them is nonzero
+_MINOR_ARITH = {
+    "ZZ": (lambda a, b: a + b, lambda a, b: a * b, lambda a: -a, math.gcd, 0, 1),
+    "QQ": (lambda a, b: a + b, lambda a, b: a * b, lambda a: -a, lambda a, b: 1 if a or b else 0, 0, 1),
+    "GF(5)": (
+        lambda a, b: (a + b) % 5,
+        lambda a, b: a * b % 5,
+        lambda a: -a % 5,
+        lambda a, b: 1 if a or b else 0,
+        0,
+        1,
+    ),
+    "ZI": (
+        lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        _gauss_mul,
+        lambda a: (-a[0], -a[1]),
+        _gauss_gcd,
+        (0, 0),
+        (1, 0),
+    ),
+}
+
+
+def _minor_gcds(rows, arith):
+    """g_k = gcd of all k x k minors, for k = 1..min(shape), by Laplace
+    expansion along the first row with every smaller minor memoized."""
+    add, mul, neg, gcd, zero, one = arith
+    n, m = len(rows), len(rows[0]) if rows else 0
+
+    @functools.lru_cache(maxsize=None)
+    def det(ri, ci):
+        if not ri:
+            return one
+        total = zero
+        for t, j in enumerate(ci):
+            term = mul(rows[ri[0]][j], det(ri[1:], ci[:t] + ci[t + 1 :]))
+            total = add(total, neg(term) if t % 2 else term)
+        return total
+
+    gcds = []
+    for k in range(1, min(n, m) + 1):
+        g = zero
+        for ri in itertools.combinations(range(n), k):
+            for ci in itertools.combinations(range(m), k):
+                g = gcd(g, det(ri, ci))
+        gcds.append(g)
+    return gcds
+
+
+MINOR_RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(5)": Fp(5), "ZI": ZI, "Z/10^6": Zmod(10**6), "Z/2^20": Zmod(2**20)}
+
+
+@pytest.mark.parametrize("name", list(MINOR_RINGS))
+def test_invariants_and_kernels_match_minor_oracle(name):
+    """d_1...d_k = gcd of the k x k minors, up to a unit, for the first k
+    invariant factors of 1,000 random matrices; over Z/n through the lift
+    [A | n*I], built here over the integers.  Every kernel K has A*K = 0,
+    and over the Euclidean rings as many columns as A has past its rank."""
+    ring = MINOR_RINGS[name]
+    modulus = ring.modulus if ring.cover is not ring else None
+    arith = _MINOR_ARITH["ZZ" if modulus else name]
+    _add, mul, _neg, _gcd, zero, one = arith
+    rng = random.Random(f"minor-oracle:{name}")
+    for t in range(1000):
+        r, c = rng.randint(1, 3 if modulus else 5), rng.randint(1, 3 if modulus else 5)
+        if modulus:
+            rows = [[rng.randrange(modulus) >> rng.randrange(20) for _ in range(c)] for _ in range(r)]
+            A = Mat.from_ints(ring, rows)
+            rows = [row + [modulus if i == j else 0 for j in range(r)] for i, row in enumerate(rows)]
+            facs = snf(Mat.from_ints(ZZ, rows)).invariant_factors
+            assert snf(lift(A)).invariant_factors == facs
+        else:
+            rows = [[_rand_entry(rng, ring) for _ in range(c)] for _ in range(r)]
+            if t % 4 == 0:
+                rows = [row + [row[0]] for row in rows]  # a dependent column
+            A = Mat.from_rows(ring, rows)
+            facs = snf(A).invariant_factors
+        gcds = _minor_gcds(rows, arith)
+        rank = sum(g != zero for g in gcds)
+        assert len(facs) == rank
+        prod = one
+        for k, d in enumerate(facs):
+            prod = mul(prod, d)
+            if name == "ZI":
+                assert gcds[k] in {_gauss_mul(prod, u) for u in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+            else:
+                assert abs(prod) == gcds[k]
+        K = kernel_matrix(A)
+        assert A.mul(K).is_zero()
+        if not modulus:
+            assert K.cols == A.cols - rank
+
+
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_kernel_matrix_spans_every_solution_over_zmod(n):
+    """The subgroup of (Z/n)^c that kernel_matrix(A)'s columns generate,
+    closed under addition here, is every x with A*x = 0, found by
+    enumeration."""
+    ring = Zmod(n)
+    rng = random.Random(f"kernel-brute:{n}")
+    for _ in range(40):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.randrange(n) for _ in range(c)] for _ in range(r)]
+        K = kernel_matrix(Mat.from_ints(ring, rows))
+        solutions = {
+            x
+            for x in itertools.product(range(n), repeat=c)
+            if all(sum(a * v for a, v in zip(row, x)) % n == 0 for row in rows)
+        }
+        gens = [tuple(K.get(i, j) for i in range(c)) for j in range(K.cols)]
+        span, new = set(), {(0,) * c}
+        while new:
+            span |= new
+            new = {tuple((a + b) % n for a, b in zip(x, g)) for x in new for g in gens} - span
+        assert span == solutions
 
 
 # ---------------------------------------------------------------------------
