@@ -3,9 +3,9 @@
 Every suite is a pure function from a raw instance (plain dict of integer
 matrices) to a pass/fail/invalid verdict.  Instances are generated from
 per-(suite, index) derived seeds, so the stream is independent of
-evaluation order; the report is aggregated by instance index and contains
-no timing data (wall-clock goes to stderr), making it byte-identical
-across runs.
+evaluation order; the report lists each suite's failures by instance
+index and counts its invalid instances, and contains no timing data
+(wall-clock goes to stderr), making it byte-identical across runs.
 
 On failure the instance is shrunk: entry halving first, then generator
 (row) deletion, then relation (column) deletion, first success order,
@@ -80,12 +80,8 @@ def derived_seed(seed, suite, index):
 # raw-instance plumbing
 #
 # An instance is {"ring": name, "mats": {key: list-of-int-rows}}.  All
-# randomness produces plain integers; rings reinterpret them via from_int,
+# randomness produces plain integers; rings reinterpret them via canon,
 # so shrinking (which edits raw integers) stays ring-agnostic.
-
-
-def _mat(ring, rows):
-    return Mat.from_ints(ring, rows)
 
 
 def _rand_entry(rng, bound):
@@ -109,7 +105,7 @@ def _module_from_rows(ring, rows):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         return None
-    return _fp.mk_module(ring, _mat(ring, rows))
+    return _fp.mk_module(ring, Mat.from_rows(ring, rows))
 
 
 def _rand_morphism(rng, cfg, src, tgt):
@@ -118,7 +114,7 @@ def _rand_morphism(rng, cfg, src, tgt):
     H = _ht.hom_module(src, tgt)
     if H.gen_mats.cols == 0:
         return _fp.zero_morphism(src, tgt)
-    coeffs = Mat.from_ints(
+    coeffs = Mat.from_rows(
         src.ring,
         [[_rand_entry(rng, cfg.max_entry)] for _ in range(H.gen_mats.cols)],
     )
@@ -170,7 +166,7 @@ def _check_snf(inst):
     rows = inst["mats"]["A"]
     if not rows or not rows[0]:
         return None
-    A = _mat(ZZ, rows)
+    A = Mat.from_rows(ZZ, rows)
     sf = _nf.snf(A)
     if sf.U.mul(A).mul(sf.V).entries != sf.D.entries:
         return False
@@ -230,7 +226,7 @@ def _decode_morphisms(inst, *specs):
             return None
     try:
         return tuple(
-            _fp.mk_morphism(mods[src], mods[tgt], _mat(ring, mats[name]))
+            _fp.mk_morphism(mods[src], mods[tgt], Mat.from_rows(ring, mats[name]))
             for name, src, tgt in specs
         )
     except FpmodError:
@@ -253,7 +249,7 @@ def _check_kernel_cokernel(inst):
 
 
 def _int_rows(A):
-    """Raw integer rows of a matrix whose entries came from from_int."""
+    """Raw integer rows of a matrix whose entries came from canon."""
     ring = A.ring
     out = []
     for i in range(A.rows):
@@ -375,21 +371,21 @@ def _decode_devissage(inst):
                 if nil[i][j] % (ds[i] // math.gcd(ds[i], dj)) != 0:
                     return None
     rels_rows = [[ds[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    M = _fp.mk_module(ring, _mat(ring, rels_rows))
+    M = _fp.mk_module(ring, Mat.from_rows(ring, rels_rows))
     I = Mat.identity(ring, k)
-    nmat = _mat(ring, nil)
+    nmat = Mat.from_rows(ring, nil)
     u = I.add(nmat)
     # inverse of a unipotent: I - n + n^2 - ...
     uinv = I
     power = nmat
     sign = -1
     for _ in range(k):
-        uinv = uinv.add(power.scale(ring.from_int(sign)))
+        uinv = uinv.add(power.scale(ring.canon(sign)))
         power = power.mul(nmat)
         sign = -sign
     parts = tuple(_fp.SubmoduleRep(M, u.select_columns([i])) for i in range(k))
     D = _devissage.InternalDecomposition(M, parts)
-    pmat = _mat(ring, [[mask[i] if i == j else 0 for j in range(k)] for i in range(k)])
+    pmat = Mat.from_rows(ring, [[mask[i] if i == j else 0 for j in range(k)] for i in range(k)])
     emat = u.mul(pmat).mul(uinv)
     try:
         e = _fp.mk_morphism(M, M, emat)
@@ -468,7 +464,7 @@ def _check_enlarge(inst):
         return None
     n, j = len(rows), len(rows[0])
     M = _fp.free_module(ZZ, n)
-    psi = _mat(ZZ, rows)
+    psi = Mat.from_rows(ZZ, rows)
     # N = a couple of genuine kernel columns (possibly zero)
     full_ker = _nf.kernel_matrix(psi)
     N = full_ker if full_ker.cols <= 2 else full_ker.select_columns([0, 1])
@@ -558,20 +554,25 @@ def shrink(inst, check):
 # driver
 
 
-def _run_one(suite, index, cfg):
+def _judge(suite, index, cfg):
+    """(verdict, failure record or None) of one instance; verdict None marks it invalid."""
     gen, check = SUITES[suite]
     rng = random.Random(derived_seed(cfg.seed, suite, index))
     inst = gen(rng, cfg)
     try:
         verdict = check(inst)
     except FpmodError as exc:
-        return {"index": index, "error": type(exc).__name__, "detail": str(exc), "instance": inst}
+        return False, {"index": index, "error": type(exc).__name__, "detail": str(exc), "instance": inst}
     except AssertionError:
         verdict = False
     if verdict is False:
-        small = shrink(inst, check)
-        return {"index": index, "instance": inst, "shrunk": small}
-    return None
+        return False, {"index": index, "instance": inst, "shrunk": shrink(inst, check)}
+    return verdict, None
+
+
+def _run_one(suite, index, cfg):
+    """The failure record of one instance, or None if it passed or was invalid."""
+    return _judge(suite, index, cfg)[1]
 
 
 _SLOWEST_SHOWN = 5
@@ -583,16 +584,17 @@ def run_harness(cfg, suites=None):
     Wall-clock times, the total and the slowest instances, go to stderr.
     """
     names = sorted(suites or SUITES)
-    by_suite = {s: {"trials": cfg.trials, "failures": []} for s in names}
+    by_suite = {s: {"trials": cfg.trials, "failures": [], "invalid": 0} for s in names}
     timings = []
     started = time.monotonic()
     for s in names:
         for i in range(cfg.trials):
             t0 = time.monotonic()
-            res = _run_one(s, i, cfg)
+            verdict, failure = _judge(s, i, cfg)
             timings.append((time.monotonic() - t0, s, i))
-            if res is not None:
-                by_suite[s]["failures"].append(res)
+            if failure is not None:
+                by_suite[s]["failures"].append(failure)
+            by_suite[s]["invalid"] += verdict is None
     elapsed = time.monotonic() - started
     total = sum(len(v["failures"]) for v in by_suite.values())
     report = {

@@ -216,8 +216,8 @@ def tensor_mor(f, g):
 
 
 def apply_ring_map(phi, A):
-    """Entrywise coefficient transport along the ring map."""
-    return A.map_entries(phi.apply, new_ring=phi.target)
+    """Entrywise coefficient transport along the ring map; its images are canonical."""
+    return Mat(phi.target, A.rows, A.cols, tuple(map(phi.apply, A.entries)))
 
 
 def base_change(phi, M):
@@ -288,9 +288,9 @@ def is_flat(M):
     n = ring.ideal
     I, IR = Mat.identity(ring, M.gens), Mat.identity(ring, M.rels.cols)
     for p in _prime_factorization(n):
-        pr = ring.from_int(p)
+        pr = ring.canon(p)
         ann = kernel_sub(Morphism(M, M, I.scale(pr), IR.scale(pr)))
-        if not sub_leq(ann, SubmoduleRep(M, I.scale(ring.from_int(n // p)))):
+        if not sub_leq(ann, SubmoduleRep(M, I.scale(ring.canon(n // p)))):
             return False
     return True
 
@@ -302,7 +302,7 @@ def _projective_by_invariants(M):
     ops, n = cover.elim_ops(), ring.ideal
     torsion, _ = M.invariants()
     for d in torsion:
-        d = cover.canon(d)  # the residue read in the cover, where it divides n
+        # a residue of Z/n is a canonical integer of the cover, where it divides n
         a, b = d, ops.quo(n, d)
         while not cover.is_zero(b):
             a, b = b, ops.rem(a, b)

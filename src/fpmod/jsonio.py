@@ -38,17 +38,14 @@ def _parse_int(value, where):
 
 
 def decode_scalar(ring, value, where="scalar"):
-    if ring.kind == RATIONALS:
-        if isinstance(value, dict) and set(value) == {"num", "den"}:
-            den = _parse_int(value["den"], where + ".den")
-            if den == 0:
-                raise InputError(f"{where}: zero denominator")
-            return Fraction(_parse_int(value["num"], where + ".num"), den)
-        return Fraction(_parse_int(value, where))
-    if ring.kind == GAUSSIAN:
-        if isinstance(value, dict) and set(value) == {"re", "im"}:
-            return (_parse_int(value["re"], where + ".re"), _parse_int(value["im"], where + ".im"))
-        return (_parse_int(value, where), 0)
+    """The canonical element of an integer, a {num, den} or a {re, im}."""
+    if ring.kind == RATIONALS and isinstance(value, dict) and set(value) == {"num", "den"}:
+        den = _parse_int(value["den"], where + ".den")
+        if den == 0:
+            raise InputError(f"{where}: zero denominator")
+        return Fraction(_parse_int(value["num"], where + ".num"), den)
+    if ring.kind == GAUSSIAN and isinstance(value, dict) and set(value) == {"re", "im"}:
+        return (_parse_int(value["re"], where + ".re"), _parse_int(value["im"], where + ".im"))
     return ring.canon(_parse_int(value, where))
 
 
@@ -100,11 +97,11 @@ def decode_mat(ring, doc, where="matrix", rows=None, cols=None):
         raise InputError(f"{where}: expected a list of rows")
     if doc and len({len(r) for r in doc}) != 1:
         raise InputError(f"{where}: ragged rows")
-    out_rows = []
-    for i, row in enumerate(doc):
-        out_rows.append(
-            [decode_scalar(ring, v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-        )
+    entries = tuple(
+        decode_scalar(ring, v, f"{where}[{i}][{j}]")
+        for i, row in enumerate(doc)
+        for j, v in enumerate(row)
+    )
     r = len(doc)
     c = len(doc[0]) if doc else 0
     if rows is not None and r != rows:
@@ -113,7 +110,7 @@ def decode_mat(ring, doc, where="matrix", rows=None, cols=None):
         raise InputError(f"{where}: expected {cols} columns, got {c}")
     if r == 0:
         raise InputError(f"{where}: empty matrix needs explicit shape")
-    return Mat.from_rows(ring, out_rows)
+    return Mat(ring, r, c, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Immutable exact matrices over a RingDesc.
 
-Entries are stored row-major in a tuple and kept canonical.  All
-operations return fresh matrices; nothing here mutates, so one matrix
-can be shared by modules, morphisms and witnesses without copies.
+Entries are stored row-major in a tuple and kept canonical: from_rows
+and map_entries put each entry through ring.canon, and every other
+constructor takes entries that are canonical already.  All operations
+return fresh matrices; nothing here mutates, so one matrix can be
+shared by modules, morphisms and witnesses without copies.
 """
 
 from dataclasses import dataclass, field
@@ -36,9 +38,7 @@ class Mat:
             ents.extend(ring.canon(e) for e in row)
         return Mat(ring, rows, cols, tuple(ents))
 
-    @staticmethod
-    def from_ints(ring, rows_list):
-        return Mat.from_rows(ring, [[ring.from_int(e) for e in row] for row in rows_list])
+    from_ints = from_rows  # from_rows under its older name
 
     @staticmethod
     def identity(ring, n):

@@ -304,8 +304,8 @@ def _bezout(ops, M, i, j):
 
 
 def _rows_mat(ring, rows, cols):
-    """The Mat of an elimination's rows; rows or cols may be 0."""
-    return Mat.from_rows(ring, rows) if rows and cols else Mat(ring, len(rows), cols, ())
+    """The Mat of an elimination's rows, canonical already; rows or cols may be 0."""
+    return Mat(ring, len(rows), cols, tuple(e for row in rows for e in row))
 
 
 def _euclidean_ops(A, name):

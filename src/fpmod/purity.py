@@ -91,11 +91,10 @@ def _probe_family(f):
     for mod in (coker, f.source, f.target):
         torsion, _ = mod.invariants()
         ds.extend(torsion)
-    ds.extend(ring.from_int(p) for p in (2, 3, 5, 7))
+    ds.extend(ring.canon(p) for p in (2, 3, 5, 7))
     probes = [free_module(ring, 1)]
     seen = set()
     for d in ds:
-        d = ring.canon(d)
         if ring.is_zero(d) or ring.is_unit(d) or d in seen:
             continue
         seen.add(d)

@@ -3,15 +3,17 @@
 Supported rings: the integers, the rationals, prime fields, the Gaussian
 integers, and integers mod n.  Elements are plain Python values (int,
 Fraction, or an (re, im) int pair for Gaussian integers) kept in canonical
-form.  Each ring has one arithmetic table, a RingOps: the element
+form.  RingDesc.canon is the one conversion into a ring, from a Python
+int on every ring; it runs only where values enter (ints, JSON scalars,
+caller rows and scalars, ring maps, cover values read back into a
+quotient).  Each ring has one arithmetic table, a RingOps: the element
 operations, and for the Euclidean rings the norm, quotient, remainder,
 associate unit and row/column updates of the normal-form elimination.
 The updates x - q*y skip zeros: an entry whose y entry is zero is left
 as it is, and over the rationals an entry is computed on numerators and
-denominators and built as one Fraction.
-RingDesc binds the element operations onto itself, so downstream code
-never needs to know the representation and no operation branches on the
-kind of ring.
+denominators and built as one Fraction.  RingDesc binds the element
+operations onto itself, so downstream code never needs to know the
+representation and no operation branches on the kind of ring.
 
 Every ring is cover/(ideal) for a Euclidean ring, its cover: the four
 Euclidean rings are their own cover with ideal zero, and IntegersMod(n)
@@ -101,6 +103,7 @@ class RingDesc:
         object.__setattr__(self, "ops", ops)
         for name in _ELEMENT_OPS:
             object.__setattr__(self, name, getattr(ops, name))
+        object.__setattr__(self, "from_int", ops.canon)  # canon under its older name
 
     def __reduce__(self):
         # the bound GF(p) and Z/n closures do not pickle; rebuild instead
@@ -162,7 +165,7 @@ def _round_half_toward_zero(num, den):
 
 
 def _gauss_canon(a):
-    re, im = a
+    re, im = (a, 0) if isinstance(a, int) else a
     return (int(re), int(im))
 
 
@@ -208,9 +211,11 @@ class RingOps:
     """The element operations of one ring, as plain functions.
 
     Every RingDesc builds its table once and binds the element entries
-    (canon, from_int, add, sub, neg, mul, is_zero, is_unit) onto itself;
+    (canon, add, sub, neg, mul, is_zero, is_unit) onto itself;
     normal_forms binds the Euclidean entries once per elimination.
-    Elements passed in are canonical, and so are the results.
+    canon is the one conversion into the ring, from a Python int or any
+    other representative; every other entry takes canonical elements and
+    returns canonical results.
 
     The Euclidean entries are None over IntegersMod.  Matrices are lists
     of rows: row updates return a new row, column updates change the
@@ -224,8 +229,7 @@ class RingOps:
     zero: object
     one: object
     minus_one: object
-    canon: Callable  # any representative -> canonical element
-    from_int: Callable  # Python int -> element
+    canon: Callable  # Python int or any representative -> canonical element
     add: Callable
     sub: Callable
     neg: Callable
@@ -368,7 +372,6 @@ def _residue_ops(n, field):
         one=1,
         minus_one=n - 1,
         canon=lambda a: int(a) % n,
-        from_int=lambda k: k % n,
         add=lambda a, b: (a + b) % n,
         sub=lambda a, b: (a - b) % n,
         neg=lambda a: -a % n,
@@ -395,7 +398,6 @@ _INT_OPS = RingOps(
     one=1,
     minus_one=-1,
     canon=int,
-    from_int=int,
     is_unit=(1, -1).__contains__,
     norm=abs,
     quo=operator.floordiv,
@@ -408,7 +410,6 @@ _RAT_OPS = RingOps(
     one=Fraction(1),
     minus_one=Fraction(-1),
     canon=Fraction,
-    from_int=Fraction,
     is_unit=partial(operator.ne, 0),
     norm=_field_norm,
     quo=operator.truediv,
@@ -421,7 +422,6 @@ _GAUSS_OPS = RingOps(
     one=(1, 0),
     minus_one=(-1, 0),
     canon=_gauss_canon,
-    from_int=lambda k: (k, 0),
     add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
     sub=_gauss_sub,
     neg=lambda a: (-a[0], -a[1]),
@@ -440,7 +440,7 @@ _GAUSS_OPS = RingOps(
 _FIXED_OPS = {INTEGERS: _INT_OPS, RATIONALS: _RAT_OPS, GAUSSIAN: _GAUSS_OPS}
 
 # the RingOps entries that RingDesc binds onto each instance
-_ELEMENT_OPS = ("canon", "from_int", "add", "sub", "neg", "mul", "is_zero", "is_unit")
+_ELEMENT_OPS = ("canon", "add", "sub", "neg", "mul", "is_zero", "is_unit")
 
 
 ZZ = RingDesc(INTEGERS)
@@ -490,12 +490,12 @@ class RingMap:
             raise InputError("faithfully flat ring maps must be flat")
 
     def apply(self, a):
-        """Map a source element to a target element."""
+        """Map a canonical source element to its canonical image."""
         if self.source == self.target:
-            return self.target.canon(a)
+            return a
         if self.source.kind != INTEGERS:
             raise UnsupportedRing(f"unsupported ring map {self.source} -> {self.target}")
-        return self.target.from_int(a)
+        return self.target.canon(a)
 
     def __str__(self):
         return f"{self.source} -> {self.target}"

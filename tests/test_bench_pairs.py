@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import statistics
 
 import pytest
 
@@ -67,6 +68,49 @@ def test_peak_rss_per_thousand_attempted_per_run():
     ]
     out = bench_pairs.summarize(runs, BETTER)["rss_per_1k_attempted"]
     assert out == {"parent": [30.0, 18.0], "change": [11.0, 10.0]}
+
+
+def _rss_runs(change_extra_mb):
+    """Four pairs in which both sides hold 20 MB plus 1 MB per 1,000
+    inputs, the change attempting twice as many as the parent and
+    holding change_extra_mb more at every input count."""
+    runs = []
+    for pair, attempted in enumerate((1000, 2000, 3000, 4000)):
+        runs.append(_run(pair, "parent", 100, 2.0, attempted=attempted, rss=20 + attempted / 1000))
+        runs.append(_run(pair, "change", 200, 2.0, attempted=2 * attempted,
+                         rss=20 + change_extra_mb + 2 * attempted / 1000))
+    return runs
+
+
+def test_rss_compared_at_the_parents_inputs():
+    # the change's median RSS reads 25 MB to the parent's 22.5 MB, at the
+    # same memory per input
+    runs = _rss_runs(0)
+    assert statistics.median(r["result"]["metrics"]["peak_rss_mb"]["value"]
+                             for r in runs if r["side"] == "change") == 25
+    out = bench_pairs.summarize(runs, BETTER)["rss_at_parent_attempted"]
+    assert out["parent_median_attempted"] == 2500
+    assert out["parent_median_rss_mb"] == 22.5
+    assert out["change_fitted_rss_mb"] == 22.5 and out["ratio"] == 1.0
+    line = {"intercept_mb": 20.0, "mb_per_1k_attempted": 1.0}
+    assert out["lines"] == {"parent": line, "change": line}
+    out = bench_pairs.summarize(_rss_runs(1), BETTER)["rss_at_parent_attempted"]
+    assert out["change_fitted_rss_mb"] == 23.5 and out["ratio"] == round(23.5 / 22.5, 4)
+
+
+def test_rss_at_parent_attempted_needs_three_runs_with_spread():
+    def runs(attempted, sides=("parent", "change")):
+        return [_run(p, side, 100, 2.0, attempted=a) for p, a in enumerate(attempted) for side in sides]
+
+    assert bench_pairs.summarize(runs((1000, 2000, 3000)), BETTER)["rss_at_parent_attempted"]
+    two = runs((1000, 2000))
+    assert bench_pairs.summarize(two, BETTER)["rss_at_parent_attempted"] is None
+    # a run without a result is no point of the fit
+    two_and_failed = two + runs((3000,), ["parent"]) + [
+        {"pair": 2, "side": "change", "seed": 2, "ran_first": True, "result": None}]
+    assert bench_pairs.summarize(two_and_failed, BETTER)["rss_at_parent_attempted"] is None
+    no_spread = runs((1000, 1000, 1000))
+    assert bench_pairs.summarize(no_spread, BETTER)["rss_at_parent_attempted"] is None
 
 
 def test_one_run_has_zero_iqr():

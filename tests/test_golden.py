@@ -33,11 +33,12 @@ import pytest
 
 from fpmod.fpmodule import Morphism, cokernel, compose, direct_sum, mk_module, zero_morphism
 from fpmod.devissage import projective_cyclic_decomposition
-from fpmod.homtensor import _projective_by_split_search, hom_module, is_flat, is_projective
+from fpmod.homtensor import _projective_by_split_search, base_change, hom_module, is_flat, is_projective
+from fpmod.jsonio import decode_mat, encode_mat
 from fpmod.matrix import Mat
 from fpmod.normal_forms import hnf, kernel_matrix, snf, solve_linear
 from fpmod.purity import find_retraction, solve_factor, solve_section
-from fpmod.rings import QQ, ZI, ZZ, Fp, Zmod
+from fpmod.rings import QQ, ZI, ZZ, Fp, Zmod, ring_map
 
 
 def _int_stream(trials, dim, bound, seed):
@@ -316,3 +317,36 @@ MODULE_RINGS = {
 @pytest.mark.parametrize("name", list(MODULE_RINGS))
 def test_module_invariants_digest(name):
     assert _module_digest(MODULE_RINGS[name], 200) == GOLDEN_MODULES[name]
+
+
+# ---------------------------------------------------------------------------
+# canonical results
+
+
+def _results(A):
+    """The matrices that snf (D, U, V), hnf, kernel_matrix, solve_linear,
+    base_change and decode_mat return for A: the elimination's only over
+    a Euclidean ring, base change along every map from A's ring."""
+    ring = A.ring
+    out = [kernel_matrix(A), solve_linear(A, A)]
+    if ring.is_euclidean:
+        sf = snf(A)
+        out += [sf.D, sf.U, sf.V, *hnf(A)]
+    targets = (ZZ, QQ, ZI, Zmod(12)) if ring == ZZ else (ring,)
+    out += [base_change(ring_map(ring, T), mk_module(ring, A)).rels for T in targets]
+    if A.rows:
+        out.append(decode_mat(ring, encode_mat(A)))
+    return out
+
+
+@pytest.mark.parametrize("name", [*STREAMS, "Z/12"])
+def test_results_are_canonical(name):
+    """Every entry of every result on the golden streams is canonical:
+    the elimination, the ring maps and the JSON decoder build their
+    matrices without putting the entries through ring.canon again."""
+    from tests.test_rings import _canonical
+
+    stream = STREAMS[name]() if name in STREAMS else _ring_stream(Zmod(12), 300, 5)
+    for A in stream:
+        for X in _results(A):
+            assert all(_canonical(X.ring, e) for e in X.entries), (name, A, X)

@@ -11,6 +11,7 @@ from fpmod.errors import FpmodError
 from fpmod.harness import (
     HarnessConfig,
     SUITES,
+    _judge,
     _run_one,
     derived_seed,
     parse_ring_name,
@@ -153,17 +154,33 @@ def test_slowest_instances_go_to_stderr_only(capsys, runs):
     # leave the report bytes unchanged
     for _ in range(runs):
         report, code = run_harness(HarnessConfig(seed=3, trials=2))
-        # the report bytes of this configuration before the slowest instances
-        # were named on stderr
+        # the report bytes of this configuration, re-recorded once when
+        # each suite's invalid count joined the report
         digest = hashlib.sha256(report_json(report).encode()).hexdigest()
         assert code == 0
-        assert digest == "edb8f659d67b19342b4fe00e7b4e2f07268970bdd94f22a3b33169ef0ef13775"
+        assert digest == "116483264b0cf76a3f21f44bb732e0ccab7b9e390b1b86251db95e0547721210"
         pattern = r"^harness: slow instance (\w+) #(\d+) (\d+\.\d+)s$"
         slow = re.findall(pattern, capsys.readouterr().err, re.M)
         assert len(slow) == 5
         assert all(name in SUITES and int(i) < 2 for name, i, _ in slow)
         seconds = [float(s) for _, _, s in slow]
         assert seconds == sorted(seconds, reverse=True)
+
+
+def test_invalid_instances_are_counted_not_failed():
+    # a check that returns None skips its instance: the report counts it
+    # per suite, and _run_one reads it as no failure, like a pass
+    cfg = HarnessConfig(seed=0, trials=25, max_gens=3, max_entry=6)  # the CLI defaults
+    report, code = run_harness(cfg)
+    assert code == 0
+    invalid = {s: v["invalid"] for s, v in report["suites"].items() if v["invalid"]}
+    assert invalid == {"devissage_roundtrip": 1, "domination_cross_oracle": 1, "summand_devissage": 1}
+    for suite, index in (("devissage_roundtrip", 4), ("domination_cross_oracle", 6), ("summand_devissage", 1)):
+        assert _judge(suite, index, cfg) == (None, None)
+        assert _run_one(suite, index, cfg) is None
+    assert _judge("snf_roundtrip", 0, cfg) == (True, None)
+    report, _ = run_harness(HarnessConfig(seed=42, trials=3))  # acceptance criterion 10
+    assert all(v["invalid"] == 0 for v in report["suites"].values())
 
 
 def test_domination_heavy_instance_passes_quickly():

@@ -24,7 +24,7 @@ from fpmod.errors import (
     SourceMismatch,
 )
 from fpmod.matrix import Mat
-from fpmod.normal_forms import hnf, solvable
+from fpmod.normal_forms import hnf, solvable, solve_linear
 from fpmod.fpmodule import (
     FpModule,
     Morphism,
@@ -217,13 +217,16 @@ def _dense_module(ring, gens, rels, seed, lo, hi):
 
 @pytest.mark.parametrize(
     "ring, gens, rels, seed",
-    [(Zmod(10**6), 4, r, s) for r in (3, 4) for s in (1, 2, 3)] + [(ZZ, g, g, s) for g in (6, 7) for s in (1, 2, 3)],
+    [(Zmod(10**6), 4, r, s) for r in (3, 4) for s in (1, 2, 3)]
+    + [(ZZ, g, g, s) for g in (6, 7) for s in (1, 2, 3)]
+    + [(Zmod(12), g, r, s) for g in (5, 6) for r in (g - 1, g) for s in (1, 2, 3)],
     ids=str,
 )
 def test_hom_past_four_generators_within_budget(ring, gens, rels, seed):
     """Hom(M, M) of a dense module answers within 2 s and equals the gcd
-    formula.  With Smith kernels and Smith invariants none of these had
-    answered after 20 s.  The budget is not to be loosened."""
+    formula.  With Smith kernels and Smith invariants none of the cases
+    over Z and Z/10^6 had answered after 20 s; those over Z/12 at 5 and
+    6 generators take 10-80 ms.  The budget is not to be loosened."""
     lo, hi = (-4, 4) if ring == ZZ else (0, ring.modulus - 1)
     M = _dense_module(ring, gens, rels, seed, lo, hi)
     start = time.perf_counter()
@@ -327,7 +330,9 @@ def test_projective_four_generators_large_modulus(rows, projective):
 def test_split_search_matches_hermite_left_inverse(ring):
     # over a domain coker(A) is projective iff im(A) is a summand, iff the
     # basis of im(A) in the pivot columns H of A's column Hermite form has
-    # a left inverse L (L*H = I, that is H^T * L^T = I)
+    # a left inverse L (L*H = I, that is H^T * L^T = I).  Then L certifies
+    # the split: with A*U = [H | 0], W = -U[:, :k]*L solves A*W*A = -A,
+    # since A = H*C gives A*U[:, :k]*L*A = H*L*H*C = A
     rng = random.Random(f"split-vs-hermite:{ring}")
     seen = {True: 0, False: 0}
     deficient = 0
@@ -339,10 +344,15 @@ def test_split_search_matches_hermite_left_inverse(ring):
             r = rng.randint(0, min(g, k) - 1)
             A = _rand_mat(rng, ring, g, r).mul(_rand_mat(rng, ring, r, k))
             deficient += 1
-        H = hnf(A)[0].nonzero_columns()
+        H, U = hnf(A)
+        H = H.nonzero_columns()
         expected = solvable(H.transpose(), Mat.identity(ring, H.cols))
         assert _projective_by_split_search(mk_module(ring, A)) is expected, A
         seen[expected] += 1
+        if expected:
+            L = solve_linear(H.transpose(), Mat.identity(ring, H.cols)).transpose()
+            W = U.select_columns(range(H.cols)).mul(L).neg()
+            assert A.mul(W).mul(A) == A.neg(), A
     assert deficient >= 50
     assert seen[False] >= (100 if ring in (ZZ, ZI) else 0)
 

@@ -124,7 +124,7 @@ def test_ring_ops_match_reference(ring):
     assert (ring.cover, ring.ideal) == ((ring, ring.zero()) if euclidean else (ZZ, ring.modulus))
     for _ in range(300):
         a, b, k = ref["draw"](rng), ref["draw"](rng), rng.randint(-40, 40)
-        assert ring.canon(a) == a and ring.from_int(k) == ref["from_int"](k)
+        assert ring.canon(a) == a and ring.canon(k) == ring.from_int(k) == ref["from_int"](k)
         for name in ("add", "sub", "mul"):
             assert getattr(ring, name)(a, b) == ref[name](a, b), (name, a, b)
         assert ring.neg(a) == ref["neg"](a)
@@ -145,6 +145,19 @@ def test_ring_ops_match_reference(ring):
 def _canonical(ring, e):
     c = ring.canon(e)
     return c == e and type(c) is type(e)
+
+
+@pytest.mark.parametrize("ring", list(_REFERENCE), ids=str)
+def test_from_rows_takes_python_ints(ring):
+    """Mat.from_rows reads Python ints on each of the five default rings,
+    Z[i] included (k is k + 0i), and agrees with from_ints."""
+    rng = random.Random(f"from-rows:{ring}")
+    for rows, cols in ((1, 2), (3, 4), (4, 1)):
+        ints = [[rng.randint(-40, 40) for _ in range(cols)] for _ in range(rows)]
+        A = Mat.from_rows(ring, ints)
+        assert A == Mat.from_ints(ring, ints)
+        assert A.entries == tuple(_REFERENCE[ring]["from_int"](k) for row in ints for k in row)
+        assert all(_canonical(ring, e) for e in A.entries)
 
 
 def _draw_row(ring, rng, n, density):

@@ -18,6 +18,11 @@ and how many runs reported correct.  Its "rss_per_1k_attempted" entry
 gives each run's peak_rss_mb per 1,000 inputs attempted, in pair order:
 a run that keeps every result grows with the inputs it attempts, so a
 faster run can read higher on peak_rss_mb at the same memory per input.
+Its "rss_at_parent_attempted" entry compares RSS at equal inputs: each
+side's peak_rss_mb is fitted as a line in attempted over that side's
+runs, and the change's line is read at the parent's median attempted,
+beside the parent's median peak_rss_mb.  It is null when a side has
+fewer than 3 runs or no spread in attempted.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --plan harness-tail:10:201 --plan harness-broad:5:101 \\
@@ -103,14 +108,46 @@ def rss_per_1k_attempted(runs):
     return out
 
 
+def rss_at_parent_attempted(runs):
+    """The change's fitted peak_rss_mb at the parent's median attempted
+    inputs, its ratio to the parent's median peak_rss_mb, and each
+    side's least-squares line (intercept in MB, slope in MB per 1,000
+    attempted); None when a side has fewer than 3 runs with an RSS
+    reading, or all of them attempted the same number of inputs."""
+    lines, points = {}, {}
+    for side in SIDES:
+        points[side] = [(r["result"]["attempted"], r["result"]["metrics"]["peak_rss_mb"]["value"])
+                        for r in runs if r["side"] == side and r["result"]
+                        and "peak_rss_mb" in r["result"]["metrics"]]
+        xs = [x for x, _ in points[side]]
+        if len(xs) < 3 or len(set(xs)) < 2:
+            return None
+        lines[side] = statistics.linear_regression(xs, [y for _, y in points[side]])
+    at = statistics.median(x for x, _ in points["parent"])
+    parent_rss = statistics.median(y for _, y in points["parent"])
+    slope, intercept = lines["change"]
+    fitted = intercept + slope * at
+    return {
+        "parent_median_attempted": at,
+        "parent_median_rss_mb": parent_rss,
+        "change_fitted_rss_mb": round(fitted, 4),
+        "ratio": round(fitted / parent_rss, 4),
+        "lines": {side: {"intercept_mb": round(b, 4), "mb_per_1k_attempted": round(1000 * a, 4)}
+                  for side, (a, b) in lines.items()},
+    }
+
+
 def summarize(runs, better):
     """Per metric: medians, ranges and quartile spread of each side, the
     per-pair ratios, and wins; under "outcomes", each side's
     attempted/failed/correct totals; under "rss_per_1k_attempted", each
-    run's peak RSS per 1,000 attempted inputs."""
+    run's peak RSS per 1,000 attempted inputs; under
+    "rss_at_parent_attempted", the change's fitted RSS at the parent's
+    inputs."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs if r["result"]}
-    out = {"outcomes": outcomes(runs), "rss_per_1k_attempted": rss_per_1k_attempted(runs)}
+    out = {"outcomes": outcomes(runs), "rss_per_1k_attempted": rss_per_1k_attempted(runs),
+           "rss_at_parent_attempted": rss_at_parent_attempted(runs)}
     for name, direction in better.items():
         vals = {side: [value[p, side][name]["value"] for p in pairs if (p, side) in value]
                 for side in SIDES}
@@ -207,7 +244,9 @@ def new_doc(args, parent_rev, seconds):
                           "change/parent ratios; change_wins counts pairs where the change is "
                           "better; parent_iqr is the distance between the parent's quartiles; "
                           "rss_per_1k_attempted is each run's peak_rss_mb per 1,000 attempted "
-                          "inputs, in pair order",
+                          "inputs, in pair order; rss_at_parent_attempted reads the change's "
+                          "least-squares line of peak_rss_mb in attempted at the parent's median "
+                          "attempted, and gives its ratio to the parent's median peak_rss_mb",
         "workloads": {},
         "confirmation": {},
     }
