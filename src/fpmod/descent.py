@@ -108,9 +108,7 @@ def check_ml_descent(phi, T, horizon):
     if not phi.faithfully_flat:
         raise NotFaithfullyFlat(f"{phi} is not faithfully flat")
     base = tower_ml_check(T, horizon)
-    ext_obj = base_change(phi, T.object)
-    ext_step = base_change_mor(phi, T.step)
-    ext = tower_ml_check(Tower(ext_obj, ext_step, T.direction), horizon)
+    ext = tower_ml_check(Tower(base_change_mor(phi, T.step), T.direction), horizon)
     if base.status == UNKNOWN or ext.status == UNKNOWN:
         verdict = "inconclusive"
     else:

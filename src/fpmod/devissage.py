@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 
 from .errors import InvalidFiltration, NotIdempotent, NotInternal, NotProjective
 from .matrix import Mat
-from .normal_forms import snf, solve_linear
+from .normal_forms import _as_ring, snf, solve_linear
 from .fpmodule import (
     FpModule,
     SubmoduleRep,
@@ -182,7 +182,7 @@ def projective_cyclic_decomposition(P):
     cover = P.ring.cover
     sf = snf(P.lifted_rels())
     Uinv = solve_linear(sf.U, Mat.identity(cover, P.gens))  # U is unimodular: the one inverse
-    Uinv = Uinv.map_entries(lambda e: e, new_ring=P.ring)
+    Uinv = _as_ring(Uinv, P.ring)
     parts = []
     k = len(sf.invariant_factors)
     for i in range(P.gens):

@@ -23,8 +23,9 @@ the direct-sum test (sub_independent, one kernel for all the parts)
 only need a verdict, so they call normal_forms.solvable, which builds
 no solution.
 
-A module stores its ring, generator count and relations; its invariants
-are a cached property, derived from them once per module.
+A module is its relation matrix: its ring and generator count are read
+off the matrix, and its invariants are a cached property, derived from
+it once per module.
 """
 
 from dataclasses import dataclass
@@ -37,17 +38,15 @@ from .normal_forms import kernel_matrix, lift, snf, solvable, solve_linear
 
 @dataclass(frozen=True)
 class FpModule:
-    ring: object
-    gens: int
     rels: Mat
 
-    def __post_init__(self):
-        if self.rels.rows != self.gens:
-            raise DimensionMismatch(
-                f"relation matrix has {self.rels.rows} rows for {self.gens} generators"
-            )
-        if self.rels.ring != self.ring:
-            raise RingMismatch(f"{self.rels.ring} relations in {self.ring} module")
+    @property
+    def ring(self):
+        return self.rels.ring
+
+    @property
+    def gens(self):
+        return self.rels.rows
 
     def lifted_rels(self):
         """Relations over the Euclidean cover of the ring (normal_forms.lift)."""
@@ -79,11 +78,11 @@ class FpModule:
 def mk_module(ring, rels):
     if rels.ring != ring:
         raise RingMismatch(f"relations over {rels.ring}, module over {ring}")
-    return FpModule(ring, rels.rows, rels)
+    return FpModule(rels)
 
 
 def free_module(ring, rank):
-    return FpModule(ring, rank, Mat.zeros(ring, rank, 0))
+    return FpModule(Mat.zeros(ring, rank, 0))
 
 
 def zero_module(ring):
@@ -234,7 +233,7 @@ def present_submodule(ambient, gens_mat):
     big = gens_mat.hstack(ambient.rels)
     K = kernel_matrix(big)
     krels = K.select_rows(range(gens_mat.cols))
-    kmod = FpModule(ambient.ring, gens_mat.cols, krels)
+    kmod = FpModule(krels)
     # gens_mat * krels = -ambient.rels * (the kernel's rows under the relations)
     incl = Morphism(kmod, ambient, gens_mat, K.select_rows(range(gens_mat.cols, K.rows)).neg())
     return kmod, incl

@@ -45,6 +45,8 @@ class HarnessConfig:
     rings: tuple = DEFAULT_RINGS
 
     def __post_init__(self):
+        for name in self.rings:
+            parse_ring_name(name)
         if self.trials < 0:
             raise FpmodError("trials must be >= 0")
         if not 1 <= self.max_gens <= 6:
@@ -312,7 +314,7 @@ def _check_ml_identity(inst):
     M = _module_from_rows(ring, inst["mats"]["M"])
     if M is None:
         return None
-    t = _limits.Tower(M, _fp.identity_morphism(M), _limits.FORWARD)
+    t = _limits.Tower(_fp.identity_morphism(M), _limits.FORWARD)
     v = _limits.tower_ml_check(t, 3)
     return v.status == _limits.ML and v.witness_level == 0
 
@@ -462,16 +464,15 @@ def _check_enlarge(inst):
     rows = inst["mats"]["psi"]
     if not rows or not rows[0]:
         return None
-    n, j = len(rows), len(rows[0])
-    M = _fp.free_module(ZZ, n)
+    M = _fp.free_module(ZZ, len(rows))
     psi = Mat.from_rows(ZZ, rows)
     # N = a couple of genuine kernel columns (possibly zero)
     full_ker = _nf.kernel_matrix(psi)
     N = full_ker if full_ker.cols <= 2 else full_ker.select_columns([0, 1])
     if N.cols == 0:
-        N = Mat.zeros(ZZ, j, 1)
+        N = Mat.zeros(ZZ, psi.cols, 1)
     try:
-        Nprime, _ = _limits.enlarge_to_free(M, j, psi, N)
+        Nprime, _ = _limits.enlarge_to_free(M, psi, N)
     except FpmodError:
         return False
     sf = _nf.snf(Nprime)
@@ -583,7 +584,12 @@ def run_harness(cfg, suites=None):
 
     Wall-clock times, the total and the slowest instances, go to stderr.
     """
-    names = sorted(suites or SUITES)
+    names = sorted(SUITES if suites is None else suites)
+    if not names:
+        raise InputError("no suites named")
+    unknown = [s for s in suites or () if s not in SUITES]
+    if unknown:
+        raise InputError(f"unknown suites: {unknown}")
     by_suite = {s: {"trials": cfg.trials, "failures": [], "invalid": 0} for s in names}
     timings = []
     started = time.monotonic()

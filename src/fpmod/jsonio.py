@@ -210,7 +210,6 @@ def _decode_tower(ring, doc, modules, morphisms, where):
         if step_spec not in morphisms:
             raise InputError(f"{where}.step: unknown morphism {step_spec!r}")
         step = morphisms[step_spec]
-        obj = step.source
     else:
         obj_spec = doc.get("object")
         if obj_spec is None:
@@ -218,7 +217,7 @@ def _decode_tower(ring, doc, modules, morphisms, where):
         obj = _resolve_module(ring, obj_spec, modules, where + ".object")
         mat = decode_mat(ring, step_spec, where + ".step", rows=obj.gens, cols=obj.gens)
         step = mk_morphism(obj, obj, mat)
-    return Tower(obj, step, direction)
+    return Tower(step, direction)
 
 
 def _named(doc, field):

@@ -2,9 +2,9 @@
 lifting, finite directed colimits, and the free-enlargement step.
 
 Infinite (co)directed systems are represented as self-similar towers:
-one object plus one endomorphism.  ML checks on towers are semi-decisions
-with an explicit horizon; UnknownAtHorizon is a first-class verdict and
-is never coerced to a refusal.
+one endomorphism, whose source is the tower's object.  ML checks on
+towers are semi-decisions with an explicit horizon; UnknownAtHorizon is
+a first-class verdict and is never coerced to a refusal.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ from .errors import (
 from .matrix import Mat
 from .normal_forms import kernel_matrix, snf, solvable, solve_linear
 from .fpmodule import (
-    FpModule,
     Morphism,
     compose,
     image,
@@ -42,15 +41,18 @@ UNKNOWN = "UnknownAtHorizon"
 
 @dataclass(frozen=True)
 class Tower:
-    object: FpModule
-    step: Morphism
+    step: Morphism  # an endomorphism of the tower's object, its source
     direction: str
 
     def __post_init__(self):
         if self.direction not in (FORWARD, BACKWARD):
             raise PreconditionViolation(f"bad tower direction {self.direction!r}")
-        if self.step.source.gens != self.object.gens or self.step.target.gens != self.object.gens:
-            raise PreconditionViolation("tower step must be an endomorphism of the object")
+        if self.step.target != self.step.source:
+            raise PreconditionViolation("tower step must be an endomorphism of its source")
+
+    @property
+    def object(self):
+        return self.step.source
 
 
 @dataclass(frozen=True)
@@ -110,17 +112,17 @@ def _solve_preimage(f, y):
     return sol.select_rows(range(f.source.gens))
 
 
-def tower_surjective_lift(A, B, C, fmap, gmap, c_family, horizon):
+def tower_surjective_lift(A, B, C, fmap, gmap, c_family):
     """Lift a compatible family of the quotient tower through the middle tower.
 
     Hypotheses (checked): gmap surjective; im(fmap) = ker(gmap); fmap and
     gmap commute with the tower steps; c_family compatible with C's step;
-    A's images stabilize within the horizon.  Returns b_family with
-    gmap(b_i) = c_i and B.step(b_{i+1}) = b_i.
+    A's images stabilize within the horizon, len(c_family) - 1.  Returns
+    b_family with gmap(b_i) = c_i and B.step(b_{i+1}) = b_i.
     """
-    ring = B.object.ring
-    if len(c_family) != horizon + 1:
-        raise HypothesisViolation(f"need {horizon + 1} family entries, got {len(c_family)}")
+    horizon = len(c_family) - 1
+    if horizon < 1:
+        raise HypothesisViolation(f"need at least 2 family entries, got {len(c_family)}")
     if not is_surjective(gmap):
         raise HypothesisViolation("gmap is not surjective")
     if not sub_eq(image(fmap), kernel_sub(gmap)):
@@ -155,7 +157,7 @@ def tower_surjective_lift(A, B, C, fmap, gmap, c_family, horizon):
         a_corr.append(a)
     # alpha_H = 0; alpha_i = A.step(alpha_{i+1}) - a_i; b_i = b~_i + fmap(alpha_i)
     alphas = [None] * (horizon + 1)
-    alphas[horizon] = Mat.zeros(ring, A.object.gens, 1)
+    alphas[horizon] = Mat.zeros(A.object.ring, A.object.gens, 1)
     for i in range(horizon - 1, -1, -1):
         alphas[i] = A.step.mat.mul(alphas[i + 1]).sub(a_corr[i])
     b_family = [b_tilde[i].add(fmap.mat.mul(alphas[i])) for i in range(horizon + 1)]
@@ -172,31 +174,41 @@ def tower_surjective_lift(A, B, C, fmap, gmap, c_family, horizon):
 
 @dataclass(frozen=True)
 class FiniteDirectedSystem:
-    """A finite poset (reflexive-transitive relation table) with modules on
-    the points and a morphism for every related pair."""
+    """A finite poset with modules on the points and a morphism for every
+    related pair: i <= j iff (i, j) is a key of maps."""
 
-    size: int
-    leq: tuple  # tuple of (i, j) pairs with i <= j
     objects: tuple  # FpModule per index
     maps: dict  # (i, j) -> Morphism
 
+    def __post_init__(self):
+        for (i, j) in self.maps:
+            if not (0 <= i < self.size and 0 <= j < self.size):
+                raise AxiomViolation(f"map ({i},{j}) indexes past the {self.size} objects")
+
+    @property
+    def size(self):
+        return len(self.objects)
+
+    @property
+    def leq(self):
+        return self.maps.keys()
+
 
 def _check_system(S):
-    rel = set(S.leq)
+    rel = S.leq
     for i in range(S.size):
         if (i, i) not in rel:
             raise AxiomViolation(f"relation not reflexive at {i}")
         if not mor_eq(S.maps[(i, i)], identity_morphism(S.objects[i])):
             raise AxiomViolation(f"map at ({i},{i}) is not the identity")
     for (i, j) in rel:
-        for (j2, k) in rel:
-            if j2 == j and (i, k) not in rel:
-                raise AxiomViolation(f"relation not transitive through ({i},{j},{k})")
-    for (i, j) in rel:
         for k in range(S.size):
-            if (j, k) in rel:
-                if not mor_eq(S.maps[(i, k)], compose(S.maps[(j, k)], S.maps[(i, j)])):
-                    raise AxiomViolation(f"composition law fails on ({i},{j},{k})")
+            if (j, k) not in rel:
+                continue
+            if (i, k) not in rel:
+                raise AxiomViolation(f"relation not transitive through ({i},{j},{k})")
+            if not mor_eq(S.maps[(i, k)], compose(S.maps[(j, k)], S.maps[(i, j)])):
+                raise AxiomViolation(f"composition law fails on ({i},{j},{k})")
 
 
 def finite_system_colimit(S):
@@ -205,17 +217,13 @@ def finite_system_colimit(S):
     A finite directed poset has a greatest element; the canonical maps
     are the transition maps into it (cocone property verified).
     """
-    rel = set(S.leq)
+    rel = S.leq
     for i in range(S.size):
         for j in range(S.size):
             if not any((i, u) in rel and (j, u) in rel for u in range(S.size)):
                 raise NotDirected(f"{i} and {j} have no upper bound")
     _check_system(S)
-    top = None
-    for t in range(S.size):
-        if all((i, t) in rel for i in range(S.size)):
-            top = t
-            break
+    top = next((t for t in range(S.size) if all((i, t) in rel for i in range(S.size))), None)
     if top is None:
         raise NotDirected("no greatest element found")
     canonical = [S.maps[(i, top)] for i in range(S.size)]
@@ -228,11 +236,12 @@ def finite_system_colimit(S):
 # Lazard enlargement step
 
 
-def enlarge_to_free(M, j_size, psi, N):
+def enlarge_to_free(M, psi, N):
     """Enlarge the relation submodule N inside ker(psi) to one with free quotient.
 
-    Over the supported Euclidean domains the image of psi is free, so the
-    full kernel of psi already works (with the index set unchanged).
+    psi maps R^J, J = psi.cols, into M's generators.  Over the supported
+    Euclidean domains the image of psi is free, so the full kernel of psi
+    already works (with the index set unchanged).
     Returns (Nprime, witnesses); all three lemma conditions are verified
     by direct computation before returning.
     """
@@ -242,13 +251,13 @@ def enlarge_to_free(M, j_size, psi, N):
     torsion, _ = M.invariants()
     if torsion:
         raise PreconditionViolation("M must be torsion-free")
-    if psi.cols != j_size or psi.rows != M.gens:
+    if psi.rows != M.gens:
         raise PreconditionViolation("psi must map R^J into M's generators")
     # psi must kill N inside M (modulo M's relations)
     if not solvable(M.rels, psi.mul(N)):
         raise PreconditionViolation("some column of N is not in ker(psi)")
     big = psi.hstack(M.rels)
-    Nprime = kernel_matrix(big).select_rows(range(j_size))
+    Nprime = kernel_matrix(big).select_rows(range(psi.cols))
     # (1) N' inside ker(psi)
     in_ker = solve_linear(M.rels, psi.mul(Nprime))
     assert in_ker is not None

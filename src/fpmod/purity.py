@@ -149,7 +149,7 @@ def dominates(f, g):
 
     The pushout-purity oracle is run alongside and must agree.
     """
-    if f.source.gens != g.source.gens or f.source.rels != g.source.rels:
+    if f.source != g.source:
         raise SourceMismatch("dominates needs a common source")
     factor = solve_factor(f.target, g.target, f.mat, g.mat)
     if factor is not None:

@@ -34,7 +34,7 @@ class PushoutData:
 
 
 def pushout(f, g):
-    if f.source.gens != g.source.gens or f.source.rels != g.source.rels:
+    if f.source != g.source:
         raise SourceMismatch("pushout needs a common source")
     ring = f.source.ring
     B, C = f.target, g.target

@@ -103,7 +103,6 @@ class RingDesc:
         object.__setattr__(self, "ops", ops)
         for name in _ELEMENT_OPS:
             object.__setattr__(self, name, getattr(ops, name))
-        object.__setattr__(self, "from_int", ops.canon)  # canon under its older name
 
     def __reduce__(self):
         # the bound GF(p) and Z/n closures do not pickle; rebuild instead

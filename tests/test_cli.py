@@ -253,6 +253,92 @@ def test_ml_tower_subcommand(tmp_path, capsys):
     assert out["status"] == "ML" and out["witness_level"] == 2
 
 
+_LIFT = {
+    "modules": {
+        "M": {"generators": "1"},
+        "N": {"relations": [["0"], ["2"]]},
+        "F": {"generators": "1"},
+        "G": {"generators": "1"},
+    },
+    "morphisms": {
+        "f": {"source": "M", "target": "N", "matrix": [["1"], ["0"]]},
+        "pi": {"source": "N", "target": "M", "matrix": [["1", "0"]]},
+        "g": {"source": "F", "target": "M", "matrix": [["2"]]},
+        "h": {"source": "G", "target": "N", "matrix": [["1"], ["1"]]},
+        "k": {"source": "F", "target": "G", "matrix": [["2"]]},
+    },
+}
+_DEVISSAGE = {"modules": {"M": {"relations": [["0"], ["6"]]}}, "parts": [[["1"], ["0"]], [["0"], ["1"]]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, expected",
+    [
+        (
+            # 0 -> Z/2 -> Z/4 -> Z/2 -> 0 with identity steps; the horizon
+            # is the family's length minus one
+            "tower-lift",
+            dict(_TOWER_LIFT, c_family=[[["1"]], [["1"]], [["1"]]]),
+            [],
+            {"b_family": [[["1"]], [["1"]], [["1"]]]},
+        ),
+        (
+            "enlarge-free",
+            {"modules": {"M": {"generators": "1"}}, "psi": [["2", "3"]], "N": [["0"], ["0"]]},
+            [],
+            {"enlarged": [["3"], ["-2"]]},
+        ),
+        (
+            "inv-stab",
+            {
+                "modules": {"Z4": {"relations": [["4"]]}},
+                "towers": {"T": {"object": "Z4", "step": [["2"]], "direction": "backward"}},
+            },
+            ["--horizon", "5"],
+            {"horizon": 5, "stabilization_level": 2, "status": "ML"},
+        ),
+        # F = G = Z, N = Z + Z/2 with retraction pi of f; h o k = f o g in N
+        ("lift", _LIFT, [], {"lift": [["1"]]}),
+        (
+            "devissage",
+            _DEVISSAGE,
+            [],
+            {
+                "stages": [[[], []], [["1"], ["0"]], [["1", "0"], ["0", "1"]]],
+                "complements": [[["1"], ["0"]], [["0"], ["1"]]],
+            },
+        ),
+        (
+            "devissage",
+            dict(_DEVISSAGE, idempotent=[["1", "0"], ["0", "0"]]),
+            [],
+            {
+                "image_module": {"ring": {"kind": "Integers"}, "relations": [["0"], ["1"]]},
+                "parts": [[["1"], ["0"]]],
+            },
+        ),
+    ],
+    ids=["tower-lift", "enlarge-free", "inv-stab", "lift", "devissage", "devissage-idempotent"],
+)
+def test_subcommand_output_pinned(tmp_path, capsys, command, doc, extra, expected):
+    path = write(tmp_path, {"ring": {"kind": "Integers"}, **doc})
+    code, out = run(capsys, [command, "--input", path] + extra)
+    assert code == 0
+    assert out == expected
+
+
+def test_tower_step_must_be_an_endomorphism_exit2(tmp_path, capsys):
+    doc = {
+        "ring": {"kind": "Integers"},
+        "modules": {"Z4": {"relations": [["4"]]}, "Z2": {"relations": [["2"]]}},
+        "morphisms": {"s": {"source": "Z4", "target": "Z2", "matrix": [["1"]]}},
+        "towers": {"T": {"step": "s"}},
+    }
+    code, out = run(capsys, ["ml-tower", "--input", write(tmp_path, doc)])
+    assert code == 2
+    assert out == {"error": "PreconditionViolation", "clause": "tower step must be an endomorphism of its source"}
+
+
 def test_projchar_subcommand(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -341,11 +427,13 @@ def test_harness_has_no_parallelism_option(capsys):
         ["snf", "--input", "in.json", "--horizon", "3"],
         ["snf", "--input", "in.json", "--output", "json"],
         ["harness", "--trials", "0", "--output", "json"],
+        ["tower-lift", "--input", "in.json", "--horizon", "2"],
     ],
-    ids=["snf-horizon", "snf-output", "harness-output"],
+    ids=["snf-horizon", "snf-output", "harness-output", "tower-lift-horizon"],
 )
 def test_options_nothing_reads_are_refused(capsys, argv):
-    # --horizon belongs to ml-tower, inv-stab and tower-lift only
+    # --horizon belongs to ml-tower and inv-stab only; tower-lift's
+    # horizon is the length of its family
     assert run_command(argv) == 2
     assert argv[-2] in capsys.readouterr().err
 

@@ -62,7 +62,7 @@ def test_descend_generators_needs_faithful_flatness():
 def test_ml_descent_on_certified_tower():
     phi = ring_map(ZZ, ZI)
     Z4 = cyc(4)
-    T = Tower(Z4, mk_morphism(Z4, Z4, Mat.from_ints(ZZ, [[2]])), FORWARD)
+    T = Tower(mk_morphism(Z4, Z4, Mat.from_ints(ZZ, [[2]])), FORWARD)
     rep = check_ml_descent(phi, T, 5)
     assert rep.verdict == "holds" and rep.base_status == "ML"
 
@@ -70,7 +70,7 @@ def test_ml_descent_on_certified_tower():
 def test_ml_descent_inconclusive_on_free_tower():
     phi = ring_map(ZZ, ZI)
     Z = free_module(ZZ, 1)
-    T = Tower(Z, mk_morphism(Z, Z, Mat.from_ints(ZZ, [[2]])), FORWARD)
+    T = Tower(mk_morphism(Z, Z, Mat.from_ints(ZZ, [[2]])), FORWARD)
     rep = check_ml_descent(phi, T, 4)
     assert rep.verdict == "inconclusive"
 

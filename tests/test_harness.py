@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from fpmod.errors import FpmodError
+from fpmod.errors import FpmodError, InputError
 from fpmod.harness import (
     HarnessConfig,
     SUITES,
@@ -33,6 +33,24 @@ def test_config_validation():
         HarnessConfig(seed=1, trials=1, max_entry=99)
     with pytest.raises(FpmodError):
         HarnessConfig(seed=1, trials=1, rings=())
+
+
+def test_config_checks_its_ring_names():
+    # a ring the harness cannot build is refused when the config is made,
+    # not when a generator first picks it
+    with pytest.raises(InputError, match=r"^ring 'Reals': "):
+        HarnessConfig(seed=1, trials=1, rings=("Integers", "Reals"))
+
+
+@pytest.mark.parametrize(
+    "suites, clause",
+    [([], "no suites named"), (["snf_roundtrip", "nope"], "unknown suites: ['nope']")],
+    ids=["empty", "unknown"],
+)
+def test_run_harness_checks_its_suite_names(suites, clause):
+    with pytest.raises(InputError) as exc:
+        run_harness(HarnessConfig(seed=1, trials=0), suites)
+    assert str(exc.value) == clause
 
 
 def test_derived_seeds_are_stable_and_distinct():

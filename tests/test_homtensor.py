@@ -137,7 +137,7 @@ def test_hom_is_presented_only_when_read(monkeypatch, ring):
         assert H.underlying is H.underlying
         assert mor_eq(H.decode(H.encode(f)), f)
         assert krons == [(Mat.identity(ring, M.gens), N.rels)]
-        inline = FpModule(ring, W.cols, kernel_matrix(W.hstack(H.triv_mats)).select_rows(range(W.cols)))
+        inline = FpModule(kernel_matrix(W.hstack(H.triv_mats)).select_rows(range(W.cols)))
         assert H.underlying == inline
         assert len(presented) == 1 and len(calls) == 1 and len(krons) == 1
     # the trivial block is derived, not a constructor argument
@@ -419,10 +419,10 @@ def _flat_by_all_divisors(M):
     ring, n = M.ring, M.ring.ideal
     I, IR = Mat.identity(ring, M.gens), Mat.identity(ring, M.rels.cols)
     for d in _brute_divisors(n):
-        dr = ring.from_int(d)
+        dr = ring.canon(d)
         _, incl = kernel(Morphism(M, M, I.scale(dr), IR.scale(dr)))
         ann = SubmoduleRep(M, incl.mat)
-        if not sub_eq(ann, SubmoduleRep(M, I.scale(ring.from_int(n // d)))):
+        if not sub_eq(ann, SubmoduleRep(M, I.scale(ring.canon(n // d)))):
             return False
     return True
 
@@ -485,7 +485,7 @@ def _elem(rng, ring):
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     if ring == ZI:
         return (rng.randint(-3, 3), rng.randint(-3, 3))
-    return ring.from_int(rng.randint(-6, 6))
+    return ring.canon(rng.randint(-6, 6))
 
 
 def _rand_mat(rng, ring, rows, cols):

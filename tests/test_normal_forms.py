@@ -193,7 +193,7 @@ def _snf_solvable(A, B):
 def _rand_entry(rng, ring):
     if ring == ZI:
         return (rng.randint(-4, 4), rng.randint(-4, 4))
-    return ring.from_int(rng.randint(-6, 6))
+    return ring.canon(rng.randint(-6, 6))
 
 
 SOLVE_RINGS = [ZZ, QQ, Fp(5), ZI, Zmod(12), Zmod(8)]

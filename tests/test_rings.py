@@ -124,7 +124,7 @@ def test_ring_ops_match_reference(ring):
     assert (ring.cover, ring.ideal) == ((ring, ring.zero()) if euclidean else (ZZ, ring.modulus))
     for _ in range(300):
         a, b, k = ref["draw"](rng), ref["draw"](rng), rng.randint(-40, 40)
-        assert ring.canon(a) == a and ring.canon(k) == ring.from_int(k) == ref["from_int"](k)
+        assert ring.canon(a) == a and ring.canon(k) == ref["from_int"](k)
         for name in ("add", "sub", "mul"):
             assert getattr(ring, name)(a, b) == ref[name](a, b), (name, a, b)
         assert ring.neg(a) == ref["neg"](a)
@@ -217,7 +217,7 @@ def test_rings_pickle(ring):
     copy = pickle.loads(pickle.dumps(ring))
     fresh = RingDesc(ring.kind, ring.modulus)
     assert copy == fresh and hash(copy) == hash(fresh)
-    assert copy.mul(copy.from_int(2), copy.from_int(3)) == ring.from_int(6)
+    assert copy.mul(copy.canon(2), copy.canon(3)) == ring.canon(6)
     assert copy.cover == ring.cover and (copy.cover is copy) == (ring.cover is ring)
 
 def test_exact_div():

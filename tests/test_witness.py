@@ -53,7 +53,7 @@ def _elem(rng, ring):
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     if ring == ZI:
         return (rng.randint(-3, 3), rng.randint(-3, 3))
-    return ring.from_int(rng.randint(-6, 6))
+    return ring.canon(rng.randint(-6, 6))
 
 
 def _rand_mat(rng, ring, rows, cols):
