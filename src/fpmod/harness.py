@@ -590,6 +590,9 @@ def run_harness(cfg, suites=None):
     unknown = [s for s in suites or () if s not in SUITES]
     if unknown:
         raise InputError(f"unknown suites: {unknown}")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise InputError(f"suites named more than once: {repeated}")
     by_suite = {s: {"trials": cfg.trials, "failures": [], "invalid": 0} for s in names}
     timings = []
     started = time.monotonic()

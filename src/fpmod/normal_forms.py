@@ -10,21 +10,20 @@ for its Euclidean cover (Z/n is Z/(n)); `lift` is the one place that
 turns a matrix over it into one over the cover, with ideal*identity
 columns appended.
 
-A transform that a function returns rides along on the rows it
-eliminates, and one that is applied to a right-hand side stays a log
-(Cohen, GTM 138, 2.4).  Row operations act on whole rows and column
-operations on every row, while the pivot search reads only the leading
-rows x cols block, so identity columns appended to the right of A come
-out as the row transform, and identity rows appended below A as the
-column transform U with A*U = H.
+Every transform rides along on the rows it eliminates (Cohen, GTM 138,
+2.4).  Row operations act on whole rows and column operations on every
+row, while the pivot search reads only the leading rows x cols block, so
+identity columns appended to the right of A come out as the row
+transform, and identity rows appended below A as the column transform U
+with A*U = H.
 
 _echelon yields each row as soon as it is final, since later steps
 touch only lower rows and later columns.  Every entry point runs it:
 
 - solve_linear forward-substitutes each row of H*Y = B as it arrives,
   returns None at the first inconsistent row, and forms X = U*[Y; 0]
-  by replaying its log of column operations as row operations on
-  [Y; 0].  solvable does the same walk for the verdict alone.
+  from the U that rides along.  solvable does the same walk for the
+  verdict alone, with no transform.
 - kernel_matrix reads U's columns past the rank of H, and is_unimodular
   the pivots of a square H, whose product is det A up to a unit.
 - hnf also reduces the entries left of each pivot as its row arrives
@@ -32,9 +31,10 @@ touch only lower rows and later columns.  Every entry point runs it:
   kernel's span are the same without it.
 - snf alternates Hermite forms of A and of its transpose until the
   matrix is diagonal, then sorts the diagonal into divisor order by 2x2
-  Bezout steps, each an _echelon of one row (Kannan and Bachem, SIAM J.
-  Comput. 8, 1979).  The invariant factors come from A's own rows; U
-  and V ride along only in a second run, when first read.
+  Bezout steps, each an _echelon of one row with its 2x2 transform
+  riding along (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The
+  invariant factors come from A's own rows; U and V ride along only in
+  a second run, when first read.
 """
 
 from dataclasses import dataclass
@@ -88,12 +88,7 @@ def _identity_rows(ops, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _swap_cols(M, j, k):
-    for row in M:
-        row[j], row[k] = row[k], row[j]
-
-
-def _echelon(ops, H, rows, cols, step):
+def _echelon(ops, H, rows, cols):
     """Column echelon form of the rows H, in place: yields (r, c) for
     each row r once it is final, with c its pivot column or None.
 
@@ -104,12 +99,9 @@ def _echelon(ops, H, rows, cols, step):
     right, and the pivot columns are 0, 1, ... in order.  Entries left
     of a pivot are not reduced here: _hermite does that between yields.
 
-    Column operations act on every row from r on, so identity rows
-    appended below the first rows come out as the transform U with
-    A*U = H.  Each one also goes to step, as (j, k, q) for "column
-    j -= q*column k", (j, k, None) for swapping columns j and k, or
-    (j, None, u) for scaling column j by the unit u: solve_linear logs
-    them for _apply_transform, and _bezout replays them.
+    Column operations act on every row from r on, so a transform rides
+    along: identity rows appended below the first rows come out as U
+    with A*U = H.  That is the one way a transform is kept.
     """
     z, norm, quo, sub_col = ops.zero, ops.norm, ops.quo, ops.sub_col
     c = 0
@@ -139,29 +131,23 @@ def _echelon(ops, H, rows, cols, step):
                     continue
                 q = quo(Hr[j], p)
                 sub_col(Hl, j, j0, q)
-                step((j, j0, q))
                 if Hr[j] != z:
                     others = True
             if others:
                 continue
             if j0 != c:
-                _swap_cols(Hl, c, j0)
-                step((c, j0, None))
+                for row in Hl:
+                    row[c], row[j0] = row[j0], row[c]
             u = ops.unit(Hr[c])
             if u != ops.one:
                 ops.scale_col(Hl, c, u)
-                step((c, None, u))
             pivot = c
             c += 1
             break
         yield r, pivot
 
 
-def _discard(_step):
-    """The step of an elimination whose transform is not logged."""
-
-
-def _forward(ops, H, R, rows, cols, step):
+def _forward(ops, H, R, rows, cols):
     """Y with H*Y = R for the echelon form H that _echelon makes of the
     rows H, or None at the first row that shows there is none.
 
@@ -171,7 +157,7 @@ def _forward(ops, H, R, rows, cols, step):
     """
     z, quo, rem, sub, mul = ops.zero, ops.quo, ops.rem, ops.sub, ops.mul
     Y = []  # row t of Y, for the pivot column t
-    for i, c in _echelon(ops, H, rows, cols, step):
+    for i, c in _echelon(ops, H, rows, cols):
         Hi, res = H[i], R[i]  # res: the residual of row i, R[i] - (H*Y)[i]
         for h, y in zip(Hi, Y):
             if h != z:
@@ -190,29 +176,12 @@ def _forward(ops, H, R, rows, cols, step):
     return Y
 
 
-def _apply_transform(ops, log, Z):
-    """Z <- U*Z for the U of log, without building U.
-
-    U*Z = E_1*(...*(E_m*Z)), and E_t*Z is E_t's column operation
-    turned into a row operation on Z: "column j -= q*column k" becomes
-    "row k -= q*row j".  Rows are replaced, never changed in place.
-    """
-    sub_row, scale_row = ops.sub_row, ops.scale_row
-    for j, k, q in reversed(log):
-        if k is None:
-            Z[j] = scale_row(Z[j], q)
-        elif q is None:
-            Z[j], Z[k] = Z[k], Z[j]
-        else:
-            Z[k] = sub_row(Z[k], Z[j], q)
-
-
 def _hermite(ops, H, rows, cols):
     """_echelon with each row's entries left of its pivot reduced by the
     pivot as soon as the row is final: the column Hermite form, a row at
     a time.  Like _echelon's, its column operations act on rows r.."""
     z, quo, sub_col = ops.zero, ops.quo, ops.sub_col
-    for r, c in _echelon(ops, H, rows, cols, _discard):
+    for r, c in _echelon(ops, H, rows, cols):
         if c is not None:
             Hl = H[r:]
             Hr = Hl[0]
@@ -270,27 +239,22 @@ def _bezout(ops, M, i, j):
     """Replace the diagonal entries a = M[i][i] and b = M[j][j] of the
     rows M by gcd(a, b) and lcm(a, b), both normalized.
 
-    Adding row j to row i puts b beside a.  The column operations that
-    _echelon takes the one row (a, b) to (g, 0) with are replayed on
-    columns i and j of every row.  Row j then holds multiples of b, and
-    so of g, in those columns, and one row step leaves the lcm alone in
-    it, up to a unit.
+    Adding row j to row i puts b beside a.  _echelon takes the one row
+    (a, b) to (g, 0), its 2x2 transform riding along on two identity
+    rows, and that transform is applied to columns i and j of every row.
+    Row j then holds multiples of b, and so of g, in those columns, and
+    one row step leaves the lcm alone in it, up to a unit.
     """
-    z, sub_row = ops.zero, ops.sub_row
-    at = (i, j)
-
-    def replay(step):
-        a, b, q = step
-        if b is None:
-            ops.scale_col(M, at[a], q)
-        elif q is None:
-            _swap_cols(M, at[a], at[b])
-        else:
-            ops.sub_col(M, at[a], at[b], q)
-
+    z, add, mul, sub_row = ops.zero, ops.add, ops.mul, ops.sub_row
     M[i] = Mi = sub_row(M[i], M[j], ops.minus_one)
-    for _ in _echelon(ops, [[Mi[i], Mi[j]]], 1, 2, replay):
+    T = [[Mi[i], Mi[j]]] + _identity_rows(ops, 2)
+    for _ in _echelon(ops, T, 1, 2):
         pass
+    (p, q), (r, s) = T[1:]
+    for row in M:
+        x, y = row[i], row[j]
+        if x != z or y != z:
+            row[i], row[j] = add(mul(x, p), mul(y, r)), add(mul(x, q), mul(y, s))
     Mi, Mj = M[i], M[j]
     if Mj[i] != z:
         M[j] = Mj = sub_row(Mj, Mi, ops.quo(Mj[i], Mi[i]))
@@ -369,7 +333,7 @@ def solve_linear(A, B):
 
     An all-zero B (B with no rows or no columns included) returns the
     zero X of shape A.cols x B.cols without eliminating A: it is the
-    solution the log replay would give.  The ring and shape checks come
+    U*[Y; 0] the elimination would give.  The ring and shape checks come
     first, so a mismatched zero B still raises.
     """
     _check_system(A, B)
@@ -381,16 +345,16 @@ def solve_linear(A, B):
         if X is None:
             return None
         return _as_ring(X.select_rows(range(A.cols)), ring)
-    # A*U = H with H in column echelon form; Y solves H*Y = B, is zero
-    # off its first rank rows, and X = U*[Y; 0] replays the log on it
+    # A*U = H with H in column echelon form, U riding along below A; Y
+    # solves H*Y = B on the first k = rank columns, so X = U[:, :k]*Y
     ops = ring.elim_ops()
-    log = []
-    Y = _forward(ops, A.to_rows(), B.to_rows(), A.rows, A.cols, log.append)
+    H = A.to_rows() + _identity_rows(ops, A.cols)
+    Y = _forward(ops, H, B.to_rows(), A.rows, A.cols)
     if Y is None:
         return None
-    Y += [[ops.zero] * B.cols] * (A.cols - len(Y))
-    _apply_transform(ops, log, Y)
-    return Mat(ring, A.cols, B.cols, tuple(e for row in Y for e in row))
+    k = len(Y)
+    U = _rows_mat(ring, [row[:k] for row in H[A.rows :]], k)
+    return U.mul(_rows_mat(ring, Y, B.cols))
 
 
 def solvable(A, B):
@@ -398,8 +362,8 @@ def solvable(A, B):
 
     The verdict of solve_linear without its X: the same checks, the same
     zero right-hand side and Z/n lift, and the same elimination and
-    forward substitution, but no log is kept, nothing is replayed, and
-    the elimination stops at the first inconsistent row.
+    forward substitution, but no transform rides along, and the
+    elimination stops at the first inconsistent row.
     """
     _check_system(A, B)
     ring = A.ring
@@ -408,7 +372,7 @@ def solvable(A, B):
     if ring.cover is not ring:
         return solvable(lift(A), _over_cover(B))
     ops = ring.elim_ops()
-    return _forward(ops, A.to_rows(), B.to_rows(), A.rows, A.cols, _discard) is not None
+    return _forward(ops, A.to_rows(), B.to_rows(), A.rows, A.cols) is not None
 
 
 def kernel_matrix(A):
@@ -421,7 +385,7 @@ def kernel_matrix(A):
         return _as_ring(K.select_rows(range(A.cols)), ring).nonzero_columns()
     ops = _euclidean_ops(A, "kernel_matrix")
     H = A.to_rows() + _identity_rows(ops, A.cols)
-    k = sum(c is not None for _, c in _echelon(ops, H, A.rows, A.cols, _discard))
+    k = sum(c is not None for _, c in _echelon(ops, H, A.rows, A.cols))
     return Mat(ring, A.cols, A.cols - k, tuple(e for row in H[A.rows :] for e in row[k:]))
 
 
@@ -434,7 +398,7 @@ def is_unimodular(A):
         return False
     ops = _euclidean_ops(A, "is_unimodular")
     H = A.to_rows()
-    for r, c in _echelon(ops, H, A.rows, A.cols, _discard):
+    for r, c in _echelon(ops, H, A.rows, A.cols):
         if c is None or not A.ring.is_unit(H[r][c]):
             return False
     return True

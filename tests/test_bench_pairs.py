@@ -113,6 +113,50 @@ def test_rss_at_parent_attempted_needs_three_runs_with_spread():
     assert bench_pairs.summarize(no_spread, BETTER)["rss_at_parent_attempted"] is None
 
 
+METRICS = {"throughput_per_s": {"better": "higher", "bound": 0.25},
+           "latency_p50_ms": {"better": "lower", "bound": 0.25}}
+
+
+def _marked(parent, change):
+    """The marked summary of pairs of (throughput, p50) runs."""
+    runs = []
+    for pair, (a, b) in enumerate(zip(parent, change)):
+        runs += [_run(pair, "parent", *a), _run(pair, "change", *b)]
+    out = bench_pairs.summarize(runs, BETTER)
+    bench_pairs.mark_bounds(out, METRICS)
+    return out["throughput_per_s"], out["latency_p50_ms"]
+
+
+def test_within_bound_allows_the_bound_in_the_worse_direction():
+    parent = [(100, 2.0)] * 3
+    tput, p50 = _marked(parent, [(76, 2.4)] * 3)  # 24% and 20% worse
+    assert tput["within_bound"] and p50["within_bound"]
+    tput, p50 = _marked(parent, [(74, 2.6)] * 3)  # 26% and 30% worse
+    assert not tput["within_bound"] and not p50["within_bound"]
+    tput, p50 = _marked(parent, [(200, 0.5)] * 3)  # better is always within
+    assert tput["within_bound"] and p50["within_bound"]
+
+
+def test_resolved_needs_a_narrow_parent_or_a_clean_separation():
+    # the parent's quartiles 100 and 150 lie 50 apart, wider than 25% of
+    # its median 120, on both metrics
+    wide = [(80, 1.0), (100, 2.0), (120, 3.0), (150, 4.0), (200, 5.0)]
+    tput, p50 = _marked(wide, [(110, 2.5)] * 5)
+    assert tput["parent_iqr"] == 50 and tput["within_bound"] and not tput["resolved"]
+    assert not p50["resolved"]
+    # every change run better than every parent run resolves it
+    tput, p50 = _marked(wide, [(210, 0.5), (220, 0.9)] + [(250, 0.6)] * 3)
+    assert tput["resolved"] and p50["resolved"]
+    # so does a parent spread within the bound, whichever way the change moves
+    narrow = [(100, 2.0), (101, 2.1), (102, 2.2), (103, 2.3), (104, 2.4)]
+    tput, p50 = _marked(narrow, [(50, 9.0)] * 5)
+    assert tput["resolved"] and not tput["within_bound"]
+    assert p50["resolved"] and not p50["within_bound"]
+    # below three pairs there is no spread to judge
+    tput, p50 = _marked(wide[:2], [(110, 2.5)] * 2)
+    assert tput["resolved"] is None and p50["resolved"] is None
+
+
 def test_one_run_has_zero_iqr():
     out = bench_pairs.summarize([_run(0, "parent", 100, 2.0), _run(0, "change", 90, 2.0)], BETTER)
     assert out["throughput_per_s"]["parent_iqr"] == 0

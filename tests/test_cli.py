@@ -317,8 +317,102 @@ _DEVISSAGE = {"modules": {"M": {"relations": [["0"], ["6"]]}}, "parts": [[["1"],
                 "parts": [[["1"], ["0"]]],
             },
         ),
+        (
+            "tensor",
+            {"modules": {"A": {"relations": [["2"]]}, "B": {"relations": [["4"]]}}},
+            [],
+            {
+                "tensor": {"ring": {"kind": "Integers"}, "relations": [["2", "4"]]},
+                "invariants": {"free_rank": "0", "torsion": ["2"]},
+            },
+        ),
+        (
+            # Z/2 + Z/5 over Z[i]: sorting the diagonal takes a Bezout step
+            "basechange",
+            {
+                "map": {"source": {"kind": "Integers"}, "target": {"kind": "GaussianIntegers"}},
+                "modules": {"M": {"relations": [["2", "0"], ["0", "5"]]}},
+            },
+            [],
+            {
+                "extended": {
+                    "ring": {"kind": "GaussianIntegers"},
+                    "relations": [
+                        [{"re": "2", "im": "0"}, {"re": "0", "im": "0"}],
+                        [{"re": "0", "im": "0"}, {"re": "5", "im": "0"}],
+                    ],
+                },
+                "invariants": {"free_rank": "0", "torsion": [{"re": "10", "im": "0"}]},
+            },
+        ),
+        (
+            "basechange",
+            {
+                "map": {"source": {"kind": "Integers"}, "target": {"kind": "IntegersMod", "modulus": "4"}},
+                "modules": {"M": {"relations": [["6"]]}},
+            },
+            [],
+            {
+                "extended": {"ring": {"kind": "IntegersMod", "modulus": "4"}, "relations": [["2"]]},
+                "invariants": {"free_rank": "0", "torsion": ["2"]},
+            },
+        ),
+        (
+            # Z/2 <- Z -> Z/4
+            "pushout",
+            {
+                "modules": {"Z": {"generators": "1"}, "Z2": {"relations": [["2"]]}, "Z4": {"relations": [["4"]]}},
+                "morphisms": {
+                    "f": {"source": "Z", "target": "Z2", "matrix": [["1"]]},
+                    "g": {"source": "Z", "target": "Z4", "matrix": [["1"]]},
+                },
+            },
+            [],
+            {
+                "object": {"ring": {"kind": "Integers"}, "relations": [["2", "0", "1"], ["0", "4", "-1"]]},
+                "invariants": {"free_rank": "0", "torsion": ["2"]},
+                "inl": [["1"], ["0"]],
+                "inr": [["0"], ["1"]],
+            },
+        ),
+        (
+            # a split mono: the retraction is a solve_linear solution
+            "univinj",
+            {
+                "modules": {"M": {"generators": "1"}, "N": {"generators": "2"}},
+                "morphisms": {"f": {"source": "M", "target": "N", "matrix": [["5"], ["3"]]}},
+            },
+            [],
+            {"pure": True, "retraction": [["-1", "2"]]},
+        ),
+        (
+            # 2: Z -> Z is not pure: tensoring with Z/2 kills 1
+            "univinj",
+            {
+                "modules": {"M": {"generators": "1"}},
+                "morphisms": {"f": {"source": "M", "target": "M", "matrix": [["2"]]}},
+            },
+            [],
+            {
+                "pure": False,
+                "counterexample": {"probe": {"ring": {"kind": "Integers"}, "relations": [["2"]]}, "element": [["-1"]]},
+            },
+        ),
     ],
-    ids=["tower-lift", "enlarge-free", "inv-stab", "lift", "devissage", "devissage-idempotent"],
+    ids=[
+        "tower-lift",
+        "enlarge-free",
+        "inv-stab",
+        "lift",
+        "devissage",
+        "devissage-idempotent",
+        "tensor",
+        "basechange-gaussian",
+        "basechange-mod4",
+        "pushout",
+        "univinj-split",
+        "univinj-probe",
+    ],
 )
 def test_subcommand_output_pinned(tmp_path, capsys, command, doc, extra, expected):
     path = write(tmp_path, {"ring": {"kind": "Integers"}, **doc})
@@ -459,6 +553,14 @@ def test_harness_empty_suites_exit2(capsys, suites):
     code, out = run(capsys, ["harness", "--trials", "1", "--suites", suites])
     assert code == 2
     assert out == {"error": "InputError", "clause": "no suites named"}
+
+
+def test_harness_repeated_suites_exit2(capsys):
+    # a suite named twice would run twice and be counted once
+    suites = "snf_roundtrip,ml_identity_tower,snf_roundtrip"
+    code, out = run(capsys, ["harness", "--trials", "1", "--suites", suites])
+    assert code == 2
+    assert out == {"error": "InputError", "clause": "suites named more than once: ['snf_roundtrip']"}
 
 
 @pytest.mark.parametrize(

@@ -44,8 +44,15 @@ def test_config_checks_its_ring_names():
 
 @pytest.mark.parametrize(
     "suites, clause",
-    [([], "no suites named"), (["snf_roundtrip", "nope"], "unknown suites: ['nope']")],
-    ids=["empty", "unknown"],
+    [
+        ([], "no suites named"),
+        (["snf_roundtrip", "nope"], "unknown suites: ['nope']"),
+        (
+            ["devissage_roundtrip", "snf_roundtrip", "devissage_roundtrip"],
+            "suites named more than once: ['devissage_roundtrip']",
+        ),
+    ],
+    ids=["empty", "unknown", "repeated"],
 )
 def test_run_harness_checks_its_suite_names(suites, clause):
     with pytest.raises(InputError) as exc:

@@ -9,9 +9,18 @@ are kept; a run that exits nonzero is kept with no result.  Each
 end-to-end metric is summarized over the pairs: both sides' medians and
 ranges, the change/parent ratio of the medians, the median and range of
 the per-pair change/parent ratios, the parent's interquartile distance,
-and in how many pairs the change was better.  The ratio of medians is
-not a paired statistic: when the machine drifts within a series it can
-disagree with the per-pair ratios, which compare runs made side by side.
+and in how many pairs the change was better.  Each metric is also
+marked against the bound BENCHMARK.json gives it, as a fraction of the
+parent median: "within_bound" when the change median is worse than the
+parent median by at most the bound, and "resolved" when the parent's
+interquartile distance is at most the bound times the parent median,
+or every change run is better than every parent run; with fewer than 3
+pairs there is no spread to judge, and "resolved" is null.  A metric
+that is not resolved spreads too widely between runs to call it
+unchanged.  The
+ratio of medians is not a paired statistic: when the machine drifts
+within a series it can disagree with the per-pair ratios, which compare
+runs made side by side.
 The summary's "outcomes" entry gives each side's totals over its runs:
 runs that exited nonzero, inputs attempted and failed, the failed share,
 and how many runs reported correct.  Its "rss_per_1k_attempted" entry
@@ -178,6 +187,24 @@ def summarize(runs, better):
     return out
 
 
+def mark_bounds(summary, metrics):
+    """Add within_bound and resolved to each metric of summary that
+    metrics, the end-to-end entries of BENCHMARK.json by name, bounds;
+    resolved is None below 3 pairs."""
+    for name, m in metrics.items():
+        out = summary.get(name)
+        if out is None:
+            continue
+        pm, cm, bound = out["parent_median"], out["change_median"], m["bound"]
+        if m["better"] == "lower":
+            out["within_bound"] = cm <= pm * (1 + bound)
+            beats = out["change_range"][1] < out["parent_range"][0]
+        else:
+            out["within_bound"] = cm >= pm * (1 - bound)
+            beats = out["change_range"][0] > out["parent_range"][1]
+        out["resolved"] = (out["parent_iqr"] <= bound * pm or beats) if out["pairs"] >= 3 else None
+
+
 def git_revision(checkout):
     """The short hash of the checkout's HEAD, or None if git cannot tell
     (say, a `git archive` copy)."""
@@ -204,7 +231,8 @@ def main(argv=None):
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    better = {name: m["better"] for name, m in metrics.items()}
     seconds = bench["run_seconds"]
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -216,6 +244,7 @@ def main(argv=None):
         for section in ("workloads", "confirmation"):
             for entry in doc[section].values():
                 entry["summary"] = summarize(entry["runs"], better)
+                mark_bounds(entry["summary"], metrics)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
@@ -243,6 +272,10 @@ def new_doc(args, parent_rev, seconds):
                           "pair_ratio_median and pair_ratio_range summarize the per-pair "
                           "change/parent ratios; change_wins counts pairs where the change is "
                           "better; parent_iqr is the distance between the parent's quartiles; "
+                          "within_bound: the change median is worse than the parent median by "
+                          "at most the metric's BENCHMARK.json bound; resolved: parent_iqr is at "
+                          "most the bound times the parent median, or every change run is better "
+                          "than every parent run, null below 3 pairs; "
                           "rss_per_1k_attempted is each run's peak_rss_mb per 1,000 attempted "
                           "inputs, in pair order; rss_at_parent_attempted reads the change's "
                           "least-squares line of peak_rss_mb in attempted at the parent's median "
