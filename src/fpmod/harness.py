@@ -45,8 +45,13 @@ class HarnessConfig:
     rings: tuple = DEFAULT_RINGS
 
     def __post_init__(self):
-        for name in self.rings:
-            parse_ring_name(name)
+        # rings are kept under their canonical names, so the report does
+        # not depend on how they were spelled
+        rings = tuple(str(parse_ring_name(name)) for name in self.rings)
+        repeated = sorted({r for r in rings if rings.count(r) > 1})
+        if repeated:
+            raise InputError(f"rings named more than once: {repeated}")
+        object.__setattr__(self, "rings", rings)
         if self.trials < 0:
             raise FpmodError("trials must be >= 0")
         if not 1 <= self.max_gens <= 6:

@@ -5,10 +5,9 @@ every Euclidean ring (integers, rationals, prime fields, Gaussian
 integers).  It takes the Euclidean entries of the ring's one arithmetic
 table, its rings.RingOps (rings.RingDesc.elim_ops), bound once per
 call: norm, Euclidean quotient and remainder, associate unit, and
-whole-row and whole-column updates.  Any other ring is cover/(ideal)
-for its Euclidean cover (Z/n is Z/(n)); `lift` is the one place that
-turns a matrix over it into one over the cover, with ideal*identity
-columns appended.
+column updates.  Any other ring is cover/(ideal) for its Euclidean
+cover (Z/n is Z/(n)); `lift` is the one place that turns a matrix over
+it into one over the cover, with ideal*identity columns appended.
 
 Every transform rides along on the rows it eliminates (Cohen, GTM 138,
 2.4).  Row operations act on whole rows and column operations on every
@@ -30,11 +29,11 @@ touch only lower rows and later columns.  Every entry point runs it:
   (_hermite).  That only mixes pivot columns, so the solver's X and the
   kernel's span are the same without it.
 - snf alternates Hermite forms of A and of its transpose until the
-  matrix is diagonal, then sorts the diagonal into divisor order by 2x2
-  Bezout steps, each an _echelon of one row with its 2x2 transform
-  riding along (Kannan and Bachem, SIAM J. Comput. 8, 1979).  The
-  invariant factors come from A's own rows; U and V ride along only in
-  a second run, when first read.
+  matrix is diagonal and each pivot divides the next: where one does
+  not, the next pivot's row is added to its row, and the next Hermite
+  form replaces it by their gcd (Kannan and Bachem, SIAM J. Comput. 8,
+  1979).  The invariant factors come from A's own rows; U and V ride
+  along only in a second run, when first read.
 """
 
 from dataclasses import dataclass
@@ -202,12 +201,19 @@ def _smith(ops, M, rows, cols):
     Column Hermite forms of the block and of its transpose alternate
     until every nonzero of the block is a pivot.  A round either leaves
     the first pivot alone in its row and column, for good, or replaces
-    it by a proper divisor, so the rounds end.  M is transposed whole,
-    so the identity rows below the block (V) and columns to its right
-    (U) trade places and keep riding along.  Then a row permutation
-    puts the pivots on the diagonal, and _bezout sorts them.
+    it by a proper divisor.  When the block is diagonal but a pivot d_a
+    does not divide the next one, d_b, the row of d_b is added to the
+    row of d_a, and the next Hermite form is of the same block (one of
+    its transpose would only subtract the row again): it replaces d_a
+    by gcd(d_a, d_b), a proper divisor, and leaves the pivots before it
+    alone, so the rounds end (Kannan and Bachem, SIAM J. Comput. 8,
+    1979).  M is transposed whole, so the identity rows below the block
+    (V) and columns to its right (U) trade places and keep riding
+    along, and a row addition while M is transposed is a column
+    addition of A.  Then a row permutation puts the pivots on the
+    diagonal.
     """
-    z = ops.zero
+    z, add, rem = ops.zero, ops.add, ops.rem
     flipped = False
     while True:
         pivots = []
@@ -218,49 +224,21 @@ def _smith(ops, M, rows, cols):
             if diagonal:
                 row = M[r]
                 diagonal = all(row[j] == z for j in range(cols) if j != c)
-        if diagonal:
+        if not diagonal:
+            M = [list(col) for col in zip(*M)]
+            rows, cols = cols, rows
+            flipped = not flipped
+            continue
+        d = [M[r][t] for t, r in enumerate(pivots)]  # pivot t sits in column t
+        a = next((t for t in range(len(d) - 1) if rem(d[t + 1], d[t]) != z), None)
+        if a is None:
             break
-        M = [list(col) for col in zip(*M)]
-        rows, cols = cols, rows
-        flipped = not flipped
-    # pivot t sits in column t: its row moves to row t
+        ra, rb = pivots[a], pivots[a + 1]
+        M[ra] = [add(x, y) for x, y in zip(M[ra], M[rb])]
     M[:rows] = [M[r] for r in pivots] + [M[r] for r in range(rows) if r not in pivots]
     if flipped:
         M = [list(col) for col in zip(*M)]
-    k = len(pivots)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if ops.rem(M[j][j], M[i][i]) != z:
-                _bezout(ops, M, i, j)
-    return M, k
-
-
-def _bezout(ops, M, i, j):
-    """Replace the diagonal entries a = M[i][i] and b = M[j][j] of the
-    rows M by gcd(a, b) and lcm(a, b), both normalized.
-
-    Adding row j to row i puts b beside a.  _echelon takes the one row
-    (a, b) to (g, 0), its 2x2 transform riding along on two identity
-    rows, and that transform is applied to columns i and j of every row.
-    Row j then holds multiples of b, and so of g, in those columns, and
-    one row step leaves the lcm alone in it, up to a unit.
-    """
-    z, add, mul, sub_row = ops.zero, ops.add, ops.mul, ops.sub_row
-    M[i] = Mi = sub_row(M[i], M[j], ops.minus_one)
-    T = [[Mi[i], Mi[j]]] + _identity_rows(ops, 2)
-    for _ in _echelon(ops, T, 1, 2):
-        pass
-    (p, q), (r, s) = T[1:]
-    for row in M:
-        x, y = row[i], row[j]
-        if x != z or y != z:
-            row[i], row[j] = add(mul(x, p), mul(y, r)), add(mul(x, q), mul(y, s))
-    Mi, Mj = M[i], M[j]
-    if Mj[i] != z:
-        M[j] = Mj = sub_row(Mj, Mi, ops.quo(Mj[i], Mi[i]))
-    u = ops.unit(Mj[j])
-    if u != ops.one:
-        M[j] = ops.scale_row(Mj, u)
+    return M, len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ int on every ring; it runs only where values enter (ints, JSON scalars,
 caller rows and scalars, ring maps, cover values read back into a
 quotient).  Each ring has one arithmetic table, a RingOps: the element
 operations, and for the Euclidean rings the norm, quotient, remainder,
-associate unit and row/column updates of the normal-form elimination.
-The updates x - q*y skip zeros: an entry whose y entry is zero is left
+associate unit and column updates of the normal-form elimination.
+The update x - q*y skips zeros: an entry whose y entry is zero is left
 as it is, and over the rationals an entry is computed on numerators and
 denominators and built as one Fraction.  RingDesc binds the element
 operations onto itself, so downstream code never needs to know the
@@ -217,17 +217,15 @@ class RingOps:
     returns canonical results.
 
     The Euclidean entries are None over IntegersMod.  Matrices are lists
-    of rows: row updates return a new row, column updates change the
-    rows in place.  sub_row and sub_col leave an entry alone (the same
-    object) where the multiplier row or column holds zero, so an update
-    costs work only at the nonzeros of y.  norm, quo, rem and unit are
-    only called with nonzero arguments (for quo and rem: a nonzero
-    divisor).
+    of rows, and the column updates change the rows in place.  sub_col
+    leaves an entry alone (the same object) where the multiplier column
+    holds zero, so an update costs work only at the nonzeros of y.
+    norm, quo, rem and unit are only called with nonzero arguments (for
+    quo and rem: a nonzero divisor).
     """
 
     zero: object
     one: object
-    minus_one: object
     canon: Callable  # Python int or any representative -> canonical element
     add: Callable
     sub: Callable
@@ -239,22 +237,12 @@ class RingOps:
     quo: Callable = None  # (a, b) -> q with norm(a - q*b) < norm(b)
     rem: Callable = None  # (a, b) -> a - quo(a, b)*b
     unit: Callable = None  # a -> u with u*a the canonical associate of a
-    sub_row: Callable = None  # (x, y, q) -> x - q*y
-    scale_row: Callable = None  # (x, u) -> u*x
     sub_col: Callable = None  # (M, j, k, q): column j of M -= q * column k
     scale_col: Callable = None  # (M, j, u): column j of M *= u
 
 
 # entries shared between rings: the plain-arithmetic updates (ZZ, QQ) and
 # the trivial norm and remainder (QQ, GF(p))
-
-
-def _plain_sub_row(x, y, q):
-    return [a - q * b if b else a for a, b in zip(x, y)]
-
-
-def _plain_scale_row(x, u):
-    return [u * a for a in x]
 
 
 def _plain_sub_col(M, j, k, q):
@@ -269,20 +257,8 @@ def _plain_scale_col(M, j, u):
         row[j] *= u
 
 
-# QQ's updates compute a - q*b on numerators and denominators and build
+# QQ's update computes a - q*b on numerators and denominators and builds
 # one Fraction, in place of a Fraction product and a Fraction difference
-
-
-def _rat_sub_row(x, y, q):
-    qn, qd = q.numerator, q.denominator
-    out = []
-    for a, b in zip(x, y):
-        bn = b.numerator
-        if bn:
-            pd, ad = qd * b.denominator, a.denominator
-            a = Fraction(a.numerator * pd - qn * bn * ad, ad * pd)
-        out.append(a)
-    return out
 
 
 def _rat_sub_col(M, j, k, q):
@@ -306,18 +282,6 @@ def _field_rem(a, b):
 
 def _sign(a):
     return 1 if a > 0 else -1
-
-
-def _gauss_sub_row(x, y, q):
-    q0, q1 = q
-    return [
-        (a[0] - (q0 * b0 - q1 * b1), a[1] - (q0 * b1 + q1 * b0)) if b0 or b1 else a
-        for a, (b0, b1) in zip(x, y)
-    ]
-
-
-def _gauss_scale_row(x, u):
-    return [_gauss_mul(u, a) for a in x]
 
 
 def _gauss_sub_col(M, j, k, q):
@@ -361,15 +325,12 @@ def _residue_ops(n, field):
             quo=lambda a, b: a * pow(b, -1, n) % n,
             rem=_field_rem,
             unit=lambda a: pow(a, -1, n),
-            sub_row=lambda x, y, q: [(a - q * b) % n if b else a for a, b in zip(x, y)],
-            scale_row=lambda x, u: [u * a % n for a in x],
             sub_col=sub_col,
             scale_col=scale_col,
         )
     return RingOps(
         zero=0,
         one=1,
-        minus_one=n - 1,
         canon=lambda a: int(a) % n,
         add=lambda a, b: (a + b) % n,
         sub=lambda a, b: (a - b) % n,
@@ -387,15 +348,12 @@ _PLAIN_ARITHMETIC = dict(
     neg=operator.neg,
     mul=operator.mul,
     is_zero=partial(operator.eq, 0),
-    sub_row=_plain_sub_row,
-    scale_row=_plain_scale_row,
     sub_col=_plain_sub_col,
     scale_col=_plain_scale_col,
 )
 _INT_OPS = RingOps(
     zero=0,
     one=1,
-    minus_one=-1,
     canon=int,
     is_unit=(1, -1).__contains__,
     norm=abs,
@@ -407,19 +365,17 @@ _INT_OPS = RingOps(
 _RAT_OPS = RingOps(
     zero=Fraction(0),
     one=Fraction(1),
-    minus_one=Fraction(-1),
     canon=Fraction,
     is_unit=partial(operator.ne, 0),
     norm=_field_norm,
     quo=operator.truediv,
     rem=_field_rem,
     unit=lambda a: 1 / a,
-    **dict(_PLAIN_ARITHMETIC, sub_row=_rat_sub_row, sub_col=_rat_sub_col),
+    **dict(_PLAIN_ARITHMETIC, sub_col=_rat_sub_col),
 )
 _GAUSS_OPS = RingOps(
     zero=(0, 0),
     one=(1, 0),
-    minus_one=(-1, 0),
     canon=_gauss_canon,
     add=lambda a, b: (a[0] + b[0], a[1] + b[1]),
     sub=_gauss_sub,
@@ -431,8 +387,6 @@ _GAUSS_OPS = RingOps(
     quo=_gauss_quo,
     rem=_gauss_rem,
     unit=_gauss_unit,
-    sub_row=_gauss_sub_row,
-    scale_row=_gauss_scale_row,
     sub_col=_gauss_sub_col,
     scale_col=_gauss_scale_col,
 )

@@ -223,3 +223,29 @@ def test_a_run_that_exits_nonzero_is_kept_and_counted_failed(tmp_path):
 
 def test_git_revision_is_none_outside_a_checkout(tmp_path):
     assert bench_pairs.git_revision(str(tmp_path)) is None
+
+
+def _gain(parent, change, metric="throughput_per_s"):
+    """gain_shown of metric over pairs whose runs read the one given
+    value on both metrics."""
+    runs = []
+    for pair, (a, b) in enumerate(zip(parent, change)):
+        runs += [_run(pair, "parent", a, a), _run(pair, "change", b, b)]
+    return bench_pairs.summarize(runs, BETTER)[metric]["gain_shown"]
+
+
+def test_gain_shown_needs_ten_pairs_nine_wins_and_a_gap_past_the_iqr():
+    # the parent's quartiles lie 4.5 apart (IQR of 100..109)
+    parent = list(range(100, 110))
+    assert _gain(parent, [p + 10 for p in parent])
+    # the same runs are a loss where lower is better
+    assert not _gain(parent, [p + 10 for p in parent], "latency_p50_ms")
+    assert _gain(parent, [p - 10 for p in parent], "latency_p50_ms")
+    # 8 wins in 10, however large the gain
+    assert not _gain(parent, [p + 50 for p in parent[:8]] + parent[8:])
+    # 10 wins, but the medians differ by 4, within the IQR
+    assert not _gain(parent, [p + 4 for p in parent])
+    # 9 wins and a tie: the tie counts for neither side
+    assert _gain(parent, [p + 10 for p in parent[:9]] + parent[9:])
+    # below 10 pairs there is no verdict
+    assert _gain(parent[:9], [p + 10 for p in parent[:9]]) is None

@@ -327,7 +327,7 @@ _DEVISSAGE = {"modules": {"M": {"relations": [["0"], ["6"]]}}, "parts": [[["1"],
             },
         ),
         (
-            # Z/2 + Z/5 over Z[i]: sorting the diagonal takes a Bezout step
+            # Z/2 + Z/5 over Z[i]: putting the diagonal in divisor order takes a repair
             "basechange",
             {
                 "map": {"source": {"kind": "Integers"}, "target": {"kind": "GaussianIntegers"}},
@@ -561,6 +561,31 @@ def test_harness_repeated_suites_exit2(capsys):
     code, out = run(capsys, ["harness", "--trials", "1", "--suites", suites])
     assert code == 2
     assert out == {"error": "InputError", "clause": "suites named more than once: ['snf_roundtrip']"}
+
+
+def test_harness_report_names_rings_canonically(capsys):
+    # a ring is reported as str(RingDesc) however it was spelled, and the
+    # report is the one of the canonical spelling
+    argv = ["harness", "--seed", "3", "--trials", "2", "--suites", "snf_roundtrip,flat_eq_projective"]
+    code, canonical = run(capsys, argv + ["--rings", "Integers,IntegersMod(6),Rationals"])
+    assert code == 0 and canonical["rings"] == ["Integers", "IntegersMod(6)", "Rationals"]
+    code, spelled = run(capsys, argv + ["--rings", "Integers, IntegersMod(06) , Rationals"])
+    assert code == 0 and spelled == canonical
+
+
+@pytest.mark.parametrize(
+    "rings, repeated",
+    [
+        ("Integers,Integers", "Integers"),
+        ("Integers, Rationals,Rationals ", "Rationals"),
+        ("IntegersMod(6),IntegersMod(06)", "IntegersMod(6)"),
+    ],
+)
+def test_harness_repeated_rings_exit2(capsys, rings, repeated):
+    # a ring named twice, in any spelling, would be drawn twice as often
+    code, out = run(capsys, ["harness", "--trials", "1", "--rings", rings])
+    assert code == 2
+    assert out == {"error": "InputError", "clause": f"rings named more than once: [{repeated!r}]"}
 
 
 @pytest.mark.parametrize(

@@ -85,11 +85,11 @@ def _digest(mats):
 
 
 GOLDEN = {
-    "ZZ": "7117144e0aaf3429b5ad4cea1e073f8bd09cfa1796e3d31de284cde3b44acc93",
+    "ZZ": "a565c3abea27955d2b39b44ac187cc7772ba0f7b6e926970810142c4e6b38da6",
     "QQ": "5aefe62fcf3a4be5447eb69c13a15506e5aca042727a45934655c00b872e7ae7",
     "GF(5)": "92649cc1bbaeb6708d7533ed4ab33ef54d573cba9988e2824fe951d042a8ab9c",
     "GF(1048573)": "c5c1a2d7ee24628df1e139ca123b34f896d8bb4e58746e0a0d6e0db120159fe8",
-    "ZI": "5cf418b5aad8d999db2f4583ae374ab749ca0e45c9d70097d2c455f9901d20e1",
+    "ZI": "f7bc4c008a4719be18d783f82bfc1217f44e20465c0fbd7bc460f8cf3e8689dc",
 }
 
 STREAMS = {
@@ -286,19 +286,19 @@ GOLDEN_MODULES = {  # (invariants and verdicts, cyclic parts)
     ),
     "Z/6": (
         "26594fb66ea44d4bc010887e1edc313ca4ea15bb7574d5018ec248f1648cd2aa",
-        "6e87dab976f01d572050128f014417a04d25028840f5e22517e6bab246956afb",
+        "cc1e5b7973c293f48849b5a1b6638a3eff91f4534ca4fd48ca2b94e14bf35f79",
     ),
     "Z/8": (
         "988e3a048f91232df4545e60204a28aae5c6f829a46411653e4f589b2be94692",
-        "3a155d9941a298a7c4f426f1051a1c8d3c85038c257709c4e4889b2625deef4c",
+        "7611374781cbe877968fe713e058840f3187d7a273586625bd7c4f03b55f5303",
     ),
     "Z/12": (
         "07c03aeb5071c25d3086549253c9b244897822d48439e91b2cd13e3cb84bcda9",
-        "369b19fdfbd5aaa9f8dab4dee14f86158a5d381bad5e32c867fe1073cc2c6165",
+        "9e84de9649154501ab13761200a463b27a7692e716fbb30ab574bdf35ec08f30",
     ),
     "Z/30": (
         "1a9a2a9cd869d1357b62177e293930189e2dd9a84cc8122128cc032e6c77dd6a",
-        "7ce547b684fd0e1e78497dcf140ba4d9b5e544c924f0cc0efc347e21824a69e0",
+        "750583b8437f92c37808c7ee5541cb585c7067416bb6c8b5b06880348ce48c6c",
     ),
 }
 

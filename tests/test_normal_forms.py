@@ -68,9 +68,29 @@ def test_snf_integer_properties(rows):
         assert prod == _minor_gcd(rows, k)
 
 
+# (A, its invariant factors): diagonals out of divisor order until repaired
+SNF_WORKED_EXAMPLES = [
+    (Mat.from_ints(ZZ, [[2, 0], [0, 3]]), (1, 6)),
+    (Mat.from_ints(ZZ, [[6, 0], [0, 4]]), (2, 12)),
+    # three repairs each, one of them on the transpose
+    (Mat.from_ints(ZZ, [[4, 0, 0], [0, 6, 0], [0, 0, 9]]), (1, 6, 36)),
+    (Mat.from_ints(ZZ, [[9, 0, 0], [0, 6, 0], [0, 0, 4]]), (1, 6, 36)),
+    # two repairs, one of them on the transpose
+    (Mat.from_ints(ZZ, [[-4, 0, -2, 6], [5, 2, 0, 1], [5, 3, -2, -6]]), (1, 1, 6)),
+    (Mat.from_rows(ZI, [[3, 0], [0, (1, 1)]]), ((1, 0), (3, 3))),
+    # Z/4 + Z/6 over Z/12 is Z/2 + Z/12
+    (lift(Mat.from_ints(Zmod(12), [[4, 0], [0, 6]])), (2, 12)),
+]
+
+
 def test_snf_worked_example():
-    A = Mat.from_ints(ZZ, [[2, 0], [0, 3]])
-    assert snf(A).invariant_factors == (1, 6)
+    """U*A*V = D with U and V unimodular and each factor dividing the next."""
+    for A, factors in SNF_WORKED_EXAMPLES:
+        sf = snf(A)
+        assert sf.invariant_factors == factors, A
+        assert sf.U.mul(A).mul(sf.V) == sf.D, A
+        assert is_unimodular(sf.U) and is_unimodular(sf.V), A
+        assert all(A.ring.exact_div(b, a) is not None for a, b in zip(factors, factors[1:]))
 
 
 def test_hnf_worked_examples():
@@ -400,15 +420,9 @@ def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
     kernel_matrix runs one, with U as identity rows below A's rows and
     nothing to their right, and its columns span the Smith kernel's
     span.  snf's invariant factors and is_unimodular eliminate A's rows
-    alone, but for the Bezout steps, each one row (a, b) with its 2x2
-    transform below; reading U or V of an snf runs the eliminations
-    again with both transforms riding along."""
+    alone; reading U or V of an snf runs the eliminations again with
+    both transforms riding along."""
     calls = []  # (rows in H, rows eliminated, cols, widest row of H)
-    bezout = (3, 1, 2, 2)
-
-    def eliminations():
-        return [call for call in calls if call != bezout]
-
     echelon = nf._echelon
 
     def record(ops, H, rows, cols):
@@ -430,12 +444,12 @@ def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
             assert A.mul(K).is_zero() and _same_span(K, ref)
             calls.clear()
             sf = snf(L)
-            assert all(n == rows and width <= cols for n, rows, cols, width in eliminations())
+            assert all(n == rows and width <= cols for n, rows, cols, width in calls)
             calls.clear()
             assert sf.U.rows == L.rows
             if L.rows and L.cols:
-                # every call but the Bezout steps carries U and V
-                assert calls and all(n > rows and width == n for n, rows, cols, width in eliminations())
+                # every call carries U and V
+                assert calls and all(n > rows and width == n for n, rows, cols, width in calls)
     for A, unimodular in [([[2, 1], [1, 1]], True), ([[2, 0], [0, 1]], False)]:
         calls.clear()
         assert is_unimodular(Mat.from_ints(ZZ, A)) is unimodular
@@ -443,7 +457,7 @@ def test_kernel_matrix_builds_no_smith_transform(monkeypatch):
     # a module's invariants read only the factors
     calls.clear()
     assert mk_module(Zmod(12), Mat.from_ints(Zmod(12), [[2, 4], [6, 3]])).invariants() == ((6,), 0)
-    assert calls and all(n == rows for n, rows, cols, width in eliminations())
+    assert calls and all(n == rows for n, rows, cols, width in calls)
 
 
 def _gauss_divmod(a, b):

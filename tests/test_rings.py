@@ -117,8 +117,8 @@ _REFERENCE = {
 @pytest.mark.parametrize("ring", list(_REFERENCE), ids=str)
 def test_ring_ops_match_reference(ring):
     ref, ops, rng = _REFERENCE[ring], ring.ops, random.Random(7)
-    zero, one, minus_one = (ref["from_int"](k) for k in (0, 1, -1))
-    assert (ring.zero(), ring.one(), ops.minus_one) == (zero, one, minus_one)
+    zero, one = ref["from_int"](0), ref["from_int"](1)
+    assert (ring.zero(), ring.one()) == (zero, one)
     euclidean = ring.kind != "IntegersMod"
     assert ring.is_euclidean == (ops.quo is not None) == euclidean == (ring.cover is ring)
     assert (ring.cover, ring.ideal) == ((ring, ring.zero()) if euclidean else (ZZ, ring.modulus))
@@ -167,10 +167,10 @@ def _draw_row(ring, rng, n, density):
 
 @pytest.mark.parametrize("ring", list(_REFERENCE), ids=str)
 def test_updates_and_products_match_reference(ring):
-    """sub_row and sub_col (over the cover for Z/n), Mat.mul and Mat.kron
-    against the per-entry formulas a - q*b and the sum of x*y, on sparse
-    and dense rows.  An update leaves an entry whose multiplier entry is
-    zero alone."""
+    """sub_col (over the cover for Z/n), Mat.mul and Mat.kron against the
+    per-entry formulas a - q*b and the sum of x*y, on sparse and dense
+    rows.  An update leaves an entry whose multiplier entry is zero
+    alone."""
     rng = random.Random(f"updates:{ring}")
     cover = ring.cover
     ops, cref, czero = cover.ops, _REFERENCE[cover], cover.zero()
@@ -181,12 +181,10 @@ def test_updates_and_products_match_reference(ring):
             x, y = _draw_row(ring, rng, n, density), _draw_row(ring, rng, n, density)
             q = cref["draw"](rng)
             expect = [cref["sub"](a, cref["mul"](q, b)) for a, b in zip(x, y)]
-            out = ops.sub_row(x, y, q)
-            assert out == expect and all(_canonical(cover, e) for e in out)
-            assert all(a is c for a, b, c in zip(x, y, out) if b == czero)
             M = [[x[i], y[i], q] for i in range(n)]
             ops.sub_col(M, 0, 1, q)
             assert [row[0] for row in M] == expect
+            assert all(a is row[0] for a, b, row in zip(x, y, M) if b == czero)
             assert [row[1:] for row in M] == [[b, q] for b in y]
             assert all(_canonical(cover, row[0]) for row in M)
             # products over the ring itself

@@ -17,7 +17,10 @@ interquartile distance is at most the bound times the parent median,
 or every change run is better than every parent run; with fewer than 3
 pairs there is no spread to judge, and "resolved" is null.  A metric
 that is not resolved spreads too widely between runs to call it
-unchanged.  The
+unchanged.  "gain_shown" applies the rule for claiming a gain: at least
+10 pairs ran, the change won at least 9 in 10 of them (a tie is no
+win), and its median is better than the parent median by more than the
+parent's interquartile distance; below 10 pairs it is null.  The
 ratio of medians is not a paired statistic: when the machine drifts
 within a series it can disagree with the per-pair ratios, which compare
 runs made side by side.
@@ -148,11 +151,11 @@ def rss_at_parent_attempted(runs):
 
 def summarize(runs, better):
     """Per metric: medians, ranges and quartile spread of each side, the
-    per-pair ratios, and wins; under "outcomes", each side's
-    attempted/failed/correct totals; under "rss_per_1k_attempted", each
-    run's peak RSS per 1,000 attempted inputs; under
-    "rss_at_parent_attempted", the change's fitted RSS at the parent's
-    inputs."""
+    per-pair ratios, wins, and whether a gain is shown; under
+    "outcomes", each side's attempted/failed/correct totals; under
+    "rss_per_1k_attempted", each run's peak RSS per 1,000 attempted
+    inputs; under "rss_at_parent_attempted", the change's fitted RSS at
+    the parent's inputs."""
     pairs = sorted({r["pair"] for r in runs})
     value = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs if r["result"]}
     out = {"outcomes": outcomes(runs), "rss_per_1k_attempted": rss_per_1k_attempted(runs),
@@ -172,6 +175,7 @@ def summarize(runs, better):
         q1, _, q3 = (statistics.quantiles(vals["parent"], n=4, method="inclusive")
                      if len(vals["parent"]) > 1 else vals["parent"] * 3)
         pm, cm = statistics.median(vals["parent"]), statistics.median(vals["change"])
+        gain = pm - cm if direction == "lower" else cm - pm
         out[name] = {
             "parent_median": pm,
             "change_median": cm,
@@ -181,6 +185,8 @@ def summarize(runs, better):
             "change_wins": wins,
             "pairs": len(pairs),
             "parent_iqr": round(q3 - q1, 4),
+            "gain_shown": (10 * wins >= 9 * len(pairs) and gain > q3 - q1
+                           if len(pairs) >= 10 else None),
             "parent_range": [min(vals["parent"]), max(vals["parent"])],
             "change_range": [min(vals["change"]), max(vals["change"])],
         }
@@ -275,7 +281,9 @@ def new_doc(args, parent_rev, seconds):
                           "within_bound: the change median is worse than the parent median by "
                           "at most the metric's BENCHMARK.json bound; resolved: parent_iqr is at "
                           "most the bound times the parent median, or every change run is better "
-                          "than every parent run, null below 3 pairs; "
+                          "than every parent run, null below 3 pairs; gain_shown: the change "
+                          "won at least 9 in 10 of the pairs run and its median is better than "
+                          "the parent median by more than parent_iqr, null below 10 pairs; "
                           "rss_per_1k_attempted is each run's peak_rss_mb per 1,000 attempted "
                           "inputs, in pair order; rss_at_parent_attempted reads the change's "
                           "least-squares line of peak_rss_mb in attempted at the parent's median "
